@@ -7,107 +7,73 @@ flow categories with a legacy-stock residual, and evaluates declarative
 what-if scenarios against the pair.
 """
 
-from .accounts import (
-    DEFAULT_BALANCE_TOLERANCE,
-    CheckResult,
-    MaterialFlowAccount,
-    ValidationOutcome,
-    ValidationStatus,
-    annually_recoverable_input,
-    recoverable_input,
-    validate,
-    waste_share,
-)
-from .errors import (
-    AccountInvariantError,
-    CircuflowError,
-    DocumentError,
-    MetricDomainError,
-    OverAttributionError,
-    ProvenanceWarning,
-    ScenarioError,
-    StockDepletionWarning,
-    UndefinedDenominatorError,
-)
-from .metrics import (
-    CircularityReport,
-    apparent_circularity,
-    dissipative_adjusted_circularity,
-    metric_suite,
-    potential_ceiling,
-    real_circularity,
-)
-from .quantities import MassQuantity, MonetaryQuantity
-from .scenarios import (
-    DivertWasteToStock,
-    ReplaceEnergeticWithStock,
-    ScaleReverseFlowValue,
-    Scenario,
-    ScenarioResult,
-    SetRecoveryRate,
-    apply_scenario,
-    full_recovery_potential,
-)
-from .valuemap import (
-    CATEGORY_DISSIPATIVE_FLOW,
-    CATEGORY_REVERSE_FLOW,
-    DEFAULT_CFC_RATE,
-    EconomicAccount,
-    SectorValue,
-    ValueAttribution,
-    attribute_value,
-    material_intensity,
-    nfcf_rate,
-    reverse_flow_gdp_share,
-    stock_addition_value,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccountInvariantError",
-    "CATEGORY_DISSIPATIVE_FLOW",
-    "CATEGORY_REVERSE_FLOW",
-    "CheckResult",
-    "CircuflowError",
-    "CircularityReport",
-    "DEFAULT_BALANCE_TOLERANCE",
-    "DEFAULT_CFC_RATE",
-    "DivertWasteToStock",
-    "DocumentError",
-    "EconomicAccount",
-    "MassQuantity",
-    "MaterialFlowAccount",
-    "MetricDomainError",
-    "MonetaryQuantity",
-    "OverAttributionError",
-    "ProvenanceWarning",
-    "ReplaceEnergeticWithStock",
-    "ScaleReverseFlowValue",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioResult",
-    "SectorValue",
-    "SetRecoveryRate",
-    "StockDepletionWarning",
-    "UndefinedDenominatorError",
-    "ValidationOutcome",
-    "ValidationStatus",
-    "ValueAttribution",
-    "annually_recoverable_input",
-    "apparent_circularity",
-    "apply_scenario",
-    "attribute_value",
-    "dissipative_adjusted_circularity",
-    "full_recovery_potential",
-    "material_intensity",
-    "metric_suite",
-    "nfcf_rate",
-    "potential_ceiling",
-    "real_circularity",
-    "recoverable_input",
-    "reverse_flow_gdp_share",
-    "stock_addition_value",
-    "validate",
-    "waste_share",
-]
+# Public name -> submodule defining it.  Names resolve on first access
+# (PEP 562), so ``import circuflow`` alone loads no submodule and the CLI
+# pays only for the modules its subcommand runs.
+_EXPORTS = {
+    "DEFAULT_BALANCE_TOLERANCE": "accounts",
+    "CheckResult": "accounts",
+    "MaterialFlowAccount": "accounts",
+    "ValidationOutcome": "accounts",
+    "ValidationStatus": "accounts",
+    "annually_recoverable_input": "accounts",
+    "recoverable_input": "accounts",
+    "validate": "accounts",
+    "waste_share": "accounts",
+    "AccountInvariantError": "errors",
+    "CircuflowError": "errors",
+    "DocumentError": "errors",
+    "MetricDomainError": "errors",
+    "OverAttributionError": "errors",
+    "ProvenanceWarning": "errors",
+    "ScenarioError": "errors",
+    "StockDepletionWarning": "errors",
+    "UndefinedDenominatorError": "errors",
+    "CircularityReport": "metrics",
+    "apparent_circularity": "metrics",
+    "dissipative_adjusted_circularity": "metrics",
+    "metric_suite": "metrics",
+    "potential_ceiling": "metrics",
+    "real_circularity": "metrics",
+    "MassQuantity": "quantities",
+    "MonetaryQuantity": "quantities",
+    "DivertWasteToStock": "scenarios",
+    "ReplaceEnergeticWithStock": "scenarios",
+    "ScaleReverseFlowValue": "scenarios",
+    "Scenario": "scenarios",
+    "ScenarioResult": "scenarios",
+    "SetRecoveryRate": "scenarios",
+    "apply_scenario": "scenarios",
+    "full_recovery_potential": "scenarios",
+    "CATEGORY_DISSIPATIVE_FLOW": "valuemap",
+    "CATEGORY_REVERSE_FLOW": "valuemap",
+    "DEFAULT_CFC_RATE": "valuemap",
+    "EconomicAccount": "valuemap",
+    "SectorValue": "valuemap",
+    "ValueAttribution": "valuemap",
+    "attribute_value": "valuemap",
+    "material_intensity": "valuemap",
+    "nfcf_rate": "valuemap",
+    "reverse_flow_gdp_share": "valuemap",
+    "stock_addition_value": "valuemap",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -17,7 +17,6 @@ import warnings
 from . import documents
 from .accounts import MaterialFlowAccount, validate, waste_share
 from .errors import CircuflowError, DocumentError, ScenarioError
-from .metrics import metric_suite
 from .render import (
     FORMAT_MACHINE,
     FORMAT_MARKDOWN,
@@ -30,8 +29,9 @@ from .render import (
     svg_metrics,
     svg_valuemap,
 )
-from .scenarios import apply_scenario
-from .valuemap import attribute_value
+
+# metrics, valuemap and scenarios are imported inside the subcommands that
+# use them, so each call loads only the modules its subcommand runs.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -52,7 +52,7 @@ class _CliFailure(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -130,6 +130,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import metric_suite
+
     account = _load_account(args.account)
     _require_valid(args.account, account)
     spec = _render_spec(args)
@@ -141,6 +143,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_valuemap(args: argparse.Namespace) -> int:
+    from .valuemap import attribute_value
+
     account = _load_account(args.account)
     economy = _load_economy(args.economy)
     _require_valid(args.account, account)
@@ -163,6 +167,10 @@ def _cmd_valuemap(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .metrics import metric_suite
+    from .scenarios import apply_scenario
+    from .valuemap import attribute_value
+
     account = _load_account(args.account)
     economy = _load_economy(args.economy)
     scenario = _load_scenario(args.scenario)

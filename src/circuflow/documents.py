@@ -19,33 +19,27 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .accounts import DEFAULT_BALANCE_TOLERANCE, MASS_FIELDS, MaterialFlowAccount
 from .errors import DocumentError, ProvenanceWarning
 from .quantities import CANONICAL_MASS_UNIT, GT_PER_UNIT, MassQuantity, MonetaryQuantity
-from .scenarios import (
-    DivertWasteToStock,
-    ReplaceEnergeticWithStock,
-    ScaleReverseFlowValue,
-    Scenario,
-    SetRecoveryRate,
-    Transformation,
-)
-from .valuemap import DEFAULT_CFC_RATE, EconomicAccount, SectorValue
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from .scenarios import Scenario, Transformation
+    from .valuemap import EconomicAccount, SectorValue
+
+# The economy and scenario schemas import their record modules inside the
+# document-level functions, once per document, so that reading an account
+# alone (the validate and metrics subcommands) loads neither module.
 
 ACCOUNT_REQUIRED_KEYS = ("year",) + MASS_FIELDS
 ACCOUNT_OPTIONAL_KEYS = ("unit", "balance_tolerance")
 
 ECONOMY_REQUIRED_KEYS = ("year", "gdp", "gfcf_rate")
 ECONOMY_OPTIONAL_KEYS = ("cfc_rate", "services_share")
-
-STEP_OPS: dict[str, type[Transformation]] = {
-    "set_recovery_rate": SetRecoveryRate,
-    "divert_waste_to_stock": DivertWasteToStock,
-    "replace_energetic_with_stock": ReplaceEnergeticWithStock,
-    "scale_reverse_flow_value": ScaleReverseFlowValue,
-}
-_OP_NAMES = {cls: op for op, cls in STEP_OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,7 @@ def render_account(account: MaterialFlowAccount) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_sector(entry: _Entry) -> SectorValue:
+def _parse_sector(entry: _Entry, valuemap: ModuleType) -> SectorValue:
     parts = [part.strip() for part in entry.value.split(",")]
     if len(parts) != 3:
         raise DocumentError(
@@ -197,7 +191,7 @@ def _parse_sector(entry: _Entry) -> SectorValue:
             f"not a number: {value_text!r}", line=entry.line, field="sector"
         ) from None
     try:
-        return SectorValue(name=name, value=MonetaryQuantity(value), category=category)
+        return valuemap.SectorValue(name=name, value=MonetaryQuantity(value), category=category)
     except ValueError as exc:
         raise DocumentError(str(exc), line=entry.line, field="sector") from None
 
@@ -208,6 +202,8 @@ def parse_economy(text: str) -> EconomicAccount:
     A missing ``cfc_rate`` defaults to the global-average estimate and is
     flagged with a ProvenanceWarning.
     """
+    from . import valuemap
+
     scalars, sector_entries = _split_scalars(
         _parse_entries(text),
         scalar_keys=ECONOMY_REQUIRED_KEYS + ECONOMY_OPTIONAL_KEYS,
@@ -226,9 +222,9 @@ def parse_economy(text: str) -> EconomicAccount:
     if "cfc_rate" in scalars:
         cfc_rate = _parse_fraction(scalars["cfc_rate"])
     else:
-        cfc_rate = DEFAULT_CFC_RATE
+        cfc_rate = valuemap.DEFAULT_CFC_RATE
         warnings.warn(
-            f"cfc_rate missing; defaulting to {DEFAULT_CFC_RATE} "
+            f"cfc_rate missing; defaulting to {cfc_rate} "
             "(global-average estimate, no single published value)",
             ProvenanceWarning,
             stacklevel=2,
@@ -238,12 +234,12 @@ def parse_economy(text: str) -> EconomicAccount:
         _parse_fraction(scalars["services_share"]) if "services_share" in scalars else None
     )
 
-    return EconomicAccount(
+    return valuemap.EconomicAccount(
         year=_parse_int(scalars["year"]),
         gdp=MonetaryQuantity(gdp),
         gfcf_rate=_parse_fraction(scalars["gfcf_rate"]),
         cfc_rate=cfc_rate,
-        sectors=tuple(_parse_sector(entry) for entry in sector_entries),
+        sectors=tuple(_parse_sector(entry, valuemap) for entry in sector_entries),
         services_share=services_share,
     )
 
@@ -262,25 +258,25 @@ def render_economy(economy: EconomicAccount) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_step(entry: _Entry) -> Transformation:
+def _parse_step(entry: _Entry, scenarios: ModuleType) -> Transformation:
     parts = [part.strip() for part in entry.value.split(",")]
     if len(parts) != 2:
         raise DocumentError(
             "expected 'step = op, parameter'", line=entry.line, field="step"
         )
     op, parameter = parts
-    cls = STEP_OPS.get(op)
+    cls = scenarios.STEP_OPS.get(op)
     if cls is None:
-        known = ", ".join(sorted(STEP_OPS))
+        known = ", ".join(sorted(scenarios.STEP_OPS))
         raise DocumentError(
             f"unknown op {op!r} (expected one of: {known})", line=entry.line, field="step"
         )
-    if cls is ScaleReverseFlowValue:
+    if cls is scenarios.ScaleReverseFlowValue:
         if parameter not in ("on", "off"):
             raise DocumentError(
                 f"expected 'on' or 'off', got {parameter!r}", line=entry.line, field="step"
             )
-        return ScaleReverseFlowValue(enabled=parameter == "on")
+        return cls(enabled=parameter == "on")
     try:
         fraction = float(parameter)
     except ValueError:
@@ -294,21 +290,25 @@ def _parse_step(entry: _Entry) -> Transformation:
 
 
 def parse_scenario(text: str) -> Scenario:
+    from . import scenarios
+
     scalars, step_entries = _split_scalars(
         _parse_entries(text), scalar_keys=("name",), repeated_key="step"
     )
     _require(scalars, ("name",))
-    return Scenario(
+    return scenarios.Scenario(
         name=scalars["name"].value,
-        steps=tuple(_parse_step(entry) for entry in step_entries),
+        steps=tuple(_parse_step(entry, scenarios) for entry in step_entries),
     )
 
 
 def render_scenario(scenario: Scenario) -> str:
+    from . import scenarios
+
     lines = [f"name = {scenario.name}"]
     for step in scenario.steps:
-        if isinstance(step, ScaleReverseFlowValue):
+        if isinstance(step, scenarios.ScaleReverseFlowValue):
             lines.append(f"step = scale_reverse_flow_value, {'on' if step.enabled else 'off'}")
         else:
-            lines.append(f"step = {_OP_NAMES[type(step)]}, {step.fraction!r}")
+            lines.append(f"step = {scenarios.OP_NAMES[type(step)]}, {step.fraction!r}")
     return "\n".join(lines) + "\n"

@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from xml.sax.saxutils import escape
+from typing import TYPE_CHECKING
 
-from .accounts import (
-    MASS_BALANCE,
-    MaterialFlowAccount,
-    ValidationOutcome,
-    ValidationStatus,
-)
-from .metrics import CircularityReport
-from .valuemap import ValueAttribution
+from .accounts import MASS_BALANCE, ValidationOutcome, ValidationStatus
+
+if TYPE_CHECKING:
+    from .accounts import MaterialFlowAccount
+    from .metrics import CircularityReport
+    from .valuemap import ValueAttribution
 
 FORMAT_PLAIN = "plain"
 FORMAT_MARKDOWN = "markdown"
@@ -262,6 +260,13 @@ def render_valuemap(
     return "\n".join(out) + "\n"
 
 
+def _gdp_share_key(side: str, category: str) -> str:
+    # "<side>_waste_share" already names the waste share of input.
+    if category == "waste":
+        return f"{side}_waste_gdp_share"
+    return f"{side}_{category}_share"
+
+
 def render_scenario_comparison(
     scenario_name: str,
     baseline_report: CircularityReport,
@@ -300,9 +305,9 @@ def render_scenario_comparison(
         pairs.append(("baseline_waste_share", baseline_waste_share))
         pairs.append(("after_waste_share", result_waste_share))
         for key, before in baseline_attribution.shares_by_category().items():
-            pairs.append((f"baseline_{key}_share", before))
+            pairs.append((_gdp_share_key("baseline", key), before))
         for key, after in result_attribution.shares_by_category().items():
-            pairs.append((f"after_{key}_share", after))
+            pairs.append((_gdp_share_key("after", key), after))
         for key, before in baseline_attribution.values_by_category().items():
             pairs.append((f"baseline_{key}_value", before))
         for key, after in result_attribution.values_by_category().items():
@@ -350,6 +355,11 @@ def render_scenario_comparison(
     if notes:
         out += [""] + ["notes:"] + [f"  - {note}" for note in notes]
     return "\n".join(out) + "\n"
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg_document(width: int, height: int, body: list[str]) -> str:
@@ -405,12 +415,12 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
         )
         body.append(
             f'<text id="denominator-{slug}" x="{x + bar_width / 2:.1f}" y="{plot_bottom + 20}" '
-            f'font-size="13" text-anchor="middle">{escape(label)}: '
+            f'font-size="13" text-anchor="middle">{_escape(label)}: '
             f"{format_mass(denominator, places)}</text>"
         )
         body.append(
             f'<text id="rate-{rate_name}" x="{x + bar_width / 2:.1f}" y="{y - 8:.1f}" '
-            f'font-size="14" text-anchor="middle">{escape(rate_name)} '
+            f'font-size="14" text-anchor="middle">{_escape(rate_name)} '
             f"{format_percent(rate, places)}</text>"
         )
     body.append(
@@ -450,7 +460,7 @@ def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) 
         )
         body.append(
             f'<text id="share-{key}" x="{bar_left + 18}" y="{y}" font-size="13">'
-            f"{escape(label)}: {format_percent(shares[key], places)} "
+            f"{_escape(label)}: {format_percent(shares[key], places)} "
             f"({format_money(values[key], places)})</text>"
         )
     if spec.include_provenance_footnotes:

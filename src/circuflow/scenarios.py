@@ -90,9 +90,10 @@ class ScaleReverseFlowValue:
 
     Sector values are rescaled from their *original* levels by the ratio of
     the current to the original recycled flow, so applying the step twice
-    changes nothing and ``enabled=False`` restores the originals.  Requires
-    a nonzero original reverse flow.  This proportionality is an explicit
-    opt-in assumption, never applied silently.
+    changes nothing and ``enabled=False`` restores the originals.  Enabling
+    requires a nonzero original reverse flow; disabling is a no-op on a
+    zero-recycled baseline.  This proportionality is an explicit opt-in
+    assumption, never applied silently.
     """
 
     enabled: bool = True
@@ -101,6 +102,15 @@ class ScaleReverseFlowValue:
 Transformation = (
     SetRecoveryRate | DivertWasteToStock | ReplaceEnergeticWithStock | ScaleReverseFlowValue
 )
+
+#: Scenario-document op name of each transformation type.
+STEP_OPS: dict[str, type[Transformation]] = {
+    "set_recovery_rate": SetRecoveryRate,
+    "divert_waste_to_stock": DivertWasteToStock,
+    "replace_energetic_with_stock": ReplaceEnergeticWithStock,
+    "scale_reverse_flow_value": ScaleReverseFlowValue,
+}
+OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls in STEP_OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -206,7 +216,7 @@ def apply_scenario(
                     )
             case ScaleReverseFlowValue(enabled=enabled):
                 original_recycled = float(account.recycled_input)
-                if original_recycled <= 0:
+                if enabled and original_recycled <= 0:
                     raise ScenarioError(
                         scenario.name,
                         index,

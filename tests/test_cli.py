@@ -74,6 +74,14 @@ class TestValidateCommand:
         assert main(["validate", ACCOUNT]) == 4
         assert "CIRCUFLOW_TOLERANCE" in capsys.readouterr().err
 
+    def test_utf8_bom_is_accepted(self, tmp_path, capsys):
+        assert main(["validate", ACCOUNT]) == 0
+        expected = capsys.readouterr().out
+        bom = tmp_path / "bom.account"
+        bom.write_bytes(b"\xef\xbb\xbf" + ACCOUNT_PATH.read_bytes())
+        assert main(["validate", str(bom)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_zero_total_account_fails_without_crashing(self, tmp_path, capsys):
         empty = tmp_path / "zero.account"
         empty.write_text(
@@ -227,3 +235,20 @@ class TestScenarioCommand:
         assert main(["scenario", ACCOUNT, ECONOMY, FULL_RECOVERY, "--format", "machine"]) == 0
         out = capsys.readouterr().out
         assert "after_real_rate = 1.0" in out
+        assert "baseline_waste_gdp_share = 0.0" in out and "after_waste_gdp_share = 0.0" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", ACCOUNT],
+        ["valuemap", ACCOUNT, ECONOMY],
+        ["scenario", ACCOUNT, ECONOMY, FULL_RECOVERY],
+        ["scenario", ACCOUNT, ECONOMY, WASTE_DIVERSION],
+    ],
+    ids=["metrics", "valuemap", "scenario_full_recovery", "scenario_waste_diversion"],
+)
+def test_machine_keys_are_unique(argv, capsys):
+    assert main(argv + ["--format", "machine"]) == 0
+    keys = [line.split(" = ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(keys) == len(set(keys))

@@ -1,0 +1,85 @@
+"""Import-cost guards: what each entry point loads, checked by module name.
+
+The checks run in fresh interpreters because this test process has
+already imported every module.  They assert on ``sys.modules`` only, never
+on timings, so they are deterministic.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import circuflow
+from support import ACCOUNT_PATH
+
+SRC = str(Path(circuflow.__file__).resolve().parent.parent)
+
+HEAVY_STDLIB = ("xml", "urllib", "http", "email")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """Names of the modules a fresh interpreter gains by running ``code``."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_heavy_stdlib():
+    loaded = _loaded_after("import circuflow.cli")
+    assert "circuflow.cli" in loaded
+    heavy = sorted(name for name in loaded if name.split(".", 1)[0] in HEAVY_STDLIB)
+    assert heavy == []
+
+
+def test_validate_loads_no_metric_valuemap_or_scenario_code():
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from circuflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['validate', {str(ACCOUNT_PATH)!r}]) == 0"
+    )
+    assert "circuflow.accounts" in loaded
+    assert not loaded & {"circuflow.metrics", "circuflow.scenarios", "circuflow.valuemap"}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded_after("import circuflow")
+    assert sorted(name for name in loaded if name.startswith("circuflow")) == ["circuflow"]
+
+
+def test_every_export_resolves_to_its_submodule_object():
+    import importlib
+
+    for name in circuflow.__all__:
+        module = importlib.import_module(f"circuflow.{circuflow._EXPORTS[name]}")
+        assert getattr(circuflow, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from circuflow import *", namespace)
+    assert set(circuflow.__all__) <= set(namespace)
+    assert namespace["validate"] is circuflow.validate
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circuflow.no_such_name
+    assert not hasattr(circuflow, "no_such_name")
+
+
+def test_dir_lists_every_export():
+    assert set(circuflow.__all__) <= set(dir(circuflow))

@@ -140,6 +140,12 @@ class TestStepErrors:
         with pytest.raises(ScenarioError, match="nonzero baseline reverse flow"):
             apply_scenario(account, economy, Scenario("x", (ScaleReverseFlowValue(True),)))
 
+    def test_disabled_scaling_is_a_no_op_without_reverse_flow(self, economy):
+        account = reference_account(recycled_input=0.0)
+        result = apply_scenario(account, economy, Scenario("x", (ScaleReverseFlowValue(False),)))
+        assert result.account == account
+        assert result.economy == economy
+
     def test_invalid_baseline_aborts(self, economy):
         account = reference_account(total_input=100.0)  # category sum broken
         with pytest.raises(ScenarioError, match="baseline"):
