@@ -21,7 +21,6 @@ _EXPORTS = {
     "ValidationOutcome": "accounts",
     "ValidationStatus": "accounts",
     "annually_recoverable_input": "accounts",
-    "recoverable_input": "accounts",
     "validate": "accounts",
     "waste_share": "accounts",
     "AccountInvariantError": "errors",
@@ -39,8 +38,6 @@ _EXPORTS = {
     "metric_suite": "metrics",
     "potential_ceiling": "metrics",
     "real_circularity": "metrics",
-    "MassQuantity": "quantities",
-    "MonetaryQuantity": "quantities",
     "DivertWasteToStock": "scenarios",
     "ReplaceEnergeticWithStock": "scenarios",
     "ScaleReverseFlowValue": "scenarios",

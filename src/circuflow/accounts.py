@@ -11,19 +11,24 @@ reported, never hidden.  The recovered reverse flow (recycled_input) counts
 inside both total_input and structural_input (secondary materials are
 non-energetic), so the output side of the balance carries no recovery bin.
 
+Every mass is stored as a plain float in gigatonnes per year: ingestion
+converts tagged tonne/kilotonne/megatonne values once, on load, so no
+downstream formula ever sees a mixed unit.
+
 Accounts are immutable values; ``validate`` is a pure function and the
 single place where cross-field rules are judged.  Construction only rejects
-field-level nonsense (negative or non-finite masses).
+field-level nonsense (negative or non-finite masses, and masses whose sums
+overflow to infinity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 
 from .errors import AccountInvariantError, UndefinedDenominatorError
-from .quantities import MassQuantity
 
 DEFAULT_BALANCE_TOLERANCE = 0.05
 
@@ -42,6 +47,22 @@ MASS_FIELDS = (
     "waste_output",
     "net_stock_additions",
 )
+
+#: Conversion factors to gigatonnes for the accepted mass unit tags.
+GT_PER_UNIT = {"t": 1e-9, "kt": 1e-6, "Mt": 1e-3, "Gt": 1.0}
+
+CANONICAL_MASS_UNIT = "Gt"
+
+
+def check_mass(value: float) -> float:
+    """Return ``value`` as a float mass in Gt/yr, rejecting non-finite or negative values."""
+    mass = float(value)
+    if not math.isfinite(mass):
+        raise ValueError(f"mass must be finite, got {value!r}")
+    if mass < 0:
+        raise ValueError(f"mass must be non-negative, got {value!r}")
+    return mass
+
 
 # Stable invariant codes, usable by callers to tell violations apart.
 POSITIVE_TOTAL_INPUT = "positive_total_input"
@@ -71,20 +92,30 @@ class MaterialFlowAccount:
     """
 
     year: int
-    total_input: MassQuantity
-    energetic_input: MassQuantity
-    structural_input: MassQuantity
-    recycled_input: MassQuantity
-    emissions_output: MassQuantity
-    waste_output: MassQuantity
-    net_stock_additions: MassQuantity
+    total_input: float
+    energetic_input: float
+    structural_input: float
+    recycled_input: float
+    emissions_output: float
+    waste_output: float
+    net_stock_additions: float
     balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE
 
     def __post_init__(self) -> None:
         if isinstance(self.year, bool) or not isinstance(self.year, int):
             raise ValueError(f"year must be an integer, got {self.year!r}")
         for name in MASS_FIELDS:
-            object.__setattr__(self, name, MassQuantity(getattr(self, name)))
+            object.__setattr__(self, name, check_mass(getattr(self, name)))
+        # validate() adds these bins; a sum that overflows would surface as an
+        # infinite residual or category gap instead of a named error.
+        if not math.isfinite(self.energetic_input + self.structural_input):
+            raise ValueError("mass sum energetic + structural overflows to infinity")
+        if not math.isfinite(
+            self.emissions_output + self.waste_output + self.net_stock_additions
+        ):
+            raise ValueError(
+                "mass sum emissions + waste + net_stock_additions overflows to infinity"
+            )
         tol = float(self.balance_tolerance)
         if not math.isfinite(tol) or not 0.0 <= tol <= 1.0:
             raise ValueError(f"balance_tolerance must be a fraction in [0, 1], got {tol!r}")
@@ -92,17 +123,15 @@ class MaterialFlowAccount:
 
     def mass_residual(self) -> float:
         """Unexplained mass: total input minus the sum of the output bins."""
-        return float(self.total_input) - (
-            float(self.emissions_output)
-            + float(self.waste_output)
-            + float(self.net_stock_additions)
+        return self.total_input - (
+            self.emissions_output + self.waste_output + self.net_stock_additions
         )
 
     def scaled(self, factor: float) -> "MaterialFlowAccount":
         """Return a copy with every mass field multiplied by ``factor`` (> 0)."""
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
-        values = {name: float(getattr(self, name)) * factor for name in MASS_FIELDS}
+        values = {name: getattr(self, name) * factor for name in MASS_FIELDS}
         return MaterialFlowAccount(year=self.year, balance_tolerance=self.balance_tolerance, **values)
 
 
@@ -137,6 +166,11 @@ class ValidationOutcome:
         return tuple(check for check in self.checks if not check.passed)
 
 
+def _percent(fraction: float) -> str:
+    """``fraction`` as a percentage with exactly its own digits: 0.015 -> "1.5%"."""
+    return f"{(Decimal(repr(fraction)) * 100).normalize():f}%"
+
+
 def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     """Judge every cross-field invariant of an account.
 
@@ -146,7 +180,7 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     Pure and idempotent: the same account always yields the same outcome.
     """
     checks: list[CheckResult] = []
-    total = float(account.total_input)
+    total = account.total_input
 
     checks.append(
         CheckResult(
@@ -158,9 +192,7 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
         )
     )
 
-    category_gap = (
-        float(account.energetic_input) + float(account.structural_input) - total
-    )
+    category_gap = account.energetic_input + account.structural_input - total
     category_ok = abs(category_gap) <= _CATEGORY_REL * max(total, 1.0)
     checks.append(
         CheckResult(
@@ -172,27 +204,27 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
         )
     )
 
-    recycled_ok = float(account.recycled_input) <= float(account.structural_input)
+    recycled_ok = account.recycled_input <= account.structural_input
     checks.append(
         CheckResult(
             RECYCLED_WITHIN_STRUCTURAL,
             recycled_ok,
             "recycled_input fits within structural_input"
             if recycled_ok
-            else f"recycled_input ({float(account.recycled_input):.6g} Gt) exceeds "
-            f"structural_input ({float(account.structural_input):.6g} Gt)",
+            else f"recycled_input ({account.recycled_input:.6g} Gt) exceeds "
+            f"structural_input ({account.structural_input:.6g} Gt)",
         )
     )
 
-    stock_ok = float(account.net_stock_additions) <= float(account.structural_input)
+    stock_ok = account.net_stock_additions <= account.structural_input
     checks.append(
         CheckResult(
             STOCK_ADDITIONS_WITHIN_STRUCTURAL,
             stock_ok,
             "net_stock_additions fit within structural_input"
             if stock_ok
-            else f"net_stock_additions ({float(account.net_stock_additions):.6g} Gt) exceed "
-            f"structural_input ({float(account.structural_input):.6g} Gt)",
+            else f"net_stock_additions ({account.net_stock_additions:.6g} Gt) exceed "
+            f"structural_input ({account.structural_input:.6g} Gt)",
         )
     )
 
@@ -208,13 +240,13 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
         balance_message = (
             f"unexplained residual {residual:.6g} Gt "
             f"({residual_share:.2%} of total input) within the "
-            f"{account.balance_tolerance:.0%} tolerance"
+            f"{_percent(account.balance_tolerance)} tolerance"
         )
     else:
         balance_message = (
             f"unexplained residual {residual:.6g} Gt "
             f"({residual_share:.2%} of total input) exceeds the "
-            f"{account.balance_tolerance:.0%} tolerance"
+            f"{_percent(account.balance_tolerance)} tolerance"
         )
     checks.append(
         CheckResult(MASS_BALANCE, exactly_balanced or within_tolerance, balance_message)
@@ -234,29 +266,24 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     )
 
 
-def recoverable_input(account: MaterialFlowAccount) -> MassQuantity:
-    """Input not dissipated in use: the structural share (total minus energetic)."""
-    return MassQuantity(account.structural_input)
-
-
-def annually_recoverable_input(account: MaterialFlowAccount) -> MassQuantity:
+def annually_recoverable_input(account: MaterialFlowAccount) -> float:
     """Structural input minus what this year locked into long-lived stocks.
 
     Raises:
         AccountInvariantError: If stock additions exceed structural input
             (such an account also fails ``validate``).
     """
-    leftover = float(account.structural_input) - float(account.net_stock_additions)
+    leftover = account.structural_input - account.net_stock_additions
     if leftover < 0:
         raise AccountInvariantError(
-            f"net_stock_additions ({float(account.net_stock_additions):.6g} Gt) exceed "
-            f"structural_input ({float(account.structural_input):.6g} Gt)"
+            f"net_stock_additions ({account.net_stock_additions:.6g} Gt) exceed "
+            f"structural_input ({account.structural_input:.6g} Gt)"
         )
-    return MassQuantity(leftover)
+    return leftover
 
 
 def waste_share(account: MaterialFlowAccount) -> float:
     """Fraction of total resource input ending as solid and liquid waste."""
-    if float(account.total_input) <= 0:
+    if account.total_input <= 0:
         raise UndefinedDenominatorError("total_input", "waste_share")
-    return float(account.waste_output) / float(account.total_input)
+    return account.waste_output / account.total_input

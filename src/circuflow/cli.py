@@ -52,7 +52,7 @@ class _CliFailure(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc

@@ -21,9 +21,15 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .accounts import DEFAULT_BALANCE_TOLERANCE, MASS_FIELDS, MaterialFlowAccount
+from .accounts import (
+    CANONICAL_MASS_UNIT,
+    DEFAULT_BALANCE_TOLERANCE,
+    GT_PER_UNIT,
+    MASS_FIELDS,
+    MaterialFlowAccount,
+    check_mass,
+)
 from .errors import DocumentError, ProvenanceWarning
-from .quantities import CANONICAL_MASS_UNIT, GT_PER_UNIT, MassQuantity, MonetaryQuantity
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -50,6 +56,9 @@ class _Entry:
 
 
 def _parse_entries(text: str) -> list[_Entry]:
+    # A leading byte-order mark is encoding residue, not part of the first key.
+    if text.startswith("\ufeff"):
+        text = text[1:]
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,12 +157,13 @@ def parse_account(text: str, *, default_tolerance: float | None = None) -> Mater
             )
         unit = entry.value
 
+    factor = GT_PER_UNIT[unit]
     masses = {}
     for name in MASS_FIELDS:
         entry = scalars[name]
         value = _parse_float(entry)
         try:
-            masses[name] = MassQuantity.from_unit(value, unit)
+            masses[name] = check_mass(value * factor)
         except ValueError as exc:
             raise DocumentError(str(exc), line=entry.line, field=name) from None
 
@@ -164,15 +174,17 @@ def parse_account(text: str, *, default_tolerance: float | None = None) -> Mater
     else:
         tolerance = DEFAULT_BALANCE_TOLERANCE
 
-    return MaterialFlowAccount(
-        year=_parse_int(scalars["year"]), balance_tolerance=tolerance, **masses
-    )
+    year = _parse_int(scalars["year"])
+    try:
+        return MaterialFlowAccount(year=year, balance_tolerance=tolerance, **masses)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def render_account(account: MaterialFlowAccount) -> str:
     """Emit the canonical (Gt) document for an account."""
     lines = [f"year = {account.year}", f"unit = {CANONICAL_MASS_UNIT}"]
-    lines += [f"{name} = {float(getattr(account, name))!r}" for name in MASS_FIELDS]
+    lines += [f"{name} = {getattr(account, name)!r}" for name in MASS_FIELDS]
     lines.append(f"balance_tolerance = {account.balance_tolerance!r}")
     return "\n".join(lines) + "\n"
 
@@ -184,14 +196,9 @@ def _parse_sector(entry: _Entry, valuemap: ModuleType) -> SectorValue:
             "expected 'sector = name, value, category'", line=entry.line, field="sector"
         )
     name, value_text, category = parts
+    value = _parse_float(_Entry(entry.line, entry.key, value_text))
     try:
-        value = float(value_text)
-    except ValueError:
-        raise DocumentError(
-            f"not a number: {value_text!r}", line=entry.line, field="sector"
-        ) from None
-    try:
-        return valuemap.SectorValue(name=name, value=MonetaryQuantity(value), category=category)
+        return valuemap.SectorValue(name=name, value=value, category=category)
     except ValueError as exc:
         raise DocumentError(str(exc), line=entry.line, field="sector") from None
 
@@ -236,7 +243,7 @@ def parse_economy(text: str) -> EconomicAccount:
 
     return valuemap.EconomicAccount(
         year=_parse_int(scalars["year"]),
-        gdp=MonetaryQuantity(gdp),
+        gdp=gdp,
         gfcf_rate=_parse_fraction(scalars["gfcf_rate"]),
         cfc_rate=cfc_rate,
         sectors=tuple(_parse_sector(entry, valuemap) for entry in sector_entries),
@@ -247,14 +254,14 @@ def parse_economy(text: str) -> EconomicAccount:
 def render_economy(economy: EconomicAccount) -> str:
     lines = [
         f"year = {economy.year}",
-        f"gdp = {float(economy.gdp)!r}",
+        f"gdp = {economy.gdp!r}",
         f"gfcf_rate = {economy.gfcf_rate!r}",
         f"cfc_rate = {economy.cfc_rate!r}",
     ]
     if economy.services_share is not None:
         lines.append(f"services_share = {economy.services_share!r}")
     for sector in economy.sectors:
-        lines.append(f"sector = {sector.name}, {float(sector.value)!r}, {sector.category}")
+        lines.append(f"sector = {sector.name}, {sector.value!r}, {sector.category}")
     return "\n".join(lines) + "\n"
 
 
@@ -277,12 +284,7 @@ def _parse_step(entry: _Entry, scenarios: ModuleType) -> Transformation:
                 f"expected 'on' or 'off', got {parameter!r}", line=entry.line, field="step"
             )
         return cls(enabled=parameter == "on")
-    try:
-        fraction = float(parameter)
-    except ValueError:
-        raise DocumentError(
-            f"not a number: {parameter!r}", line=entry.line, field="step"
-        ) from None
+    fraction = _parse_float(_Entry(entry.line, entry.key, parameter))
     try:
         return cls(fraction=fraction)
     except ValueError as exc:

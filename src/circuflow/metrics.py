@@ -43,22 +43,33 @@ class CircularityReport:
         }
 
 
+def _denominators(account: MaterialFlowAccount) -> tuple[float, float, float]:
+    """Total, recoverable (total - energetic) and annually recoverable input.
+
+    The annually recoverable input further excludes this year's net stock
+    additions.  Every metric divides by one of these three masses.
+    """
+    total = account.total_input
+    recoverable = total - account.energetic_input
+    return total, recoverable, recoverable - account.net_stock_additions
+
+
 def apparent_circularity(account: MaterialFlowAccount) -> float:
     """Recycled share of all resource input (the headline circularity rate)."""
-    total = float(account.total_input)
+    total, _, _ = _denominators(account)
     if total <= 0:
         raise UndefinedDenominatorError("total_input", "apparent_circularity")
-    return float(account.recycled_input) / total
+    return account.recycled_input / total
 
 
 def dissipative_adjusted_circularity(account: MaterialFlowAccount) -> float:
     """Recycled share of the non-dissipative input (total minus energetic)."""
-    denominator = float(account.total_input) - float(account.energetic_input)
-    if denominator <= 0:
+    _, recoverable, _ = _denominators(account)
+    if recoverable <= 0:
         raise UndefinedDenominatorError(
             "total_input - energetic_input", "dissipative_adjusted_circularity"
         )
-    return float(account.recycled_input) / denominator
+    return account.recycled_input / recoverable
 
 
 def real_circularity(account: MaterialFlowAccount) -> float:
@@ -69,16 +80,12 @@ def real_circularity(account: MaterialFlowAccount) -> float:
     reverse flow is larger than the annually recoverable pool (a state
     ``metric_suite`` refuses to report).
     """
-    denominator = (
-        float(account.total_input)
-        - float(account.energetic_input)
-        - float(account.net_stock_additions)
-    )
-    if denominator <= 0:
+    _, _, annually_recoverable = _denominators(account)
+    if annually_recoverable <= 0:
         raise UndefinedDenominatorError(
             "total_input - energetic_input - net_stock_additions", "real_circularity"
         )
-    return float(account.recycled_input) / denominator
+    return account.recycled_input / annually_recoverable
 
 
 def potential_ceiling(account: MaterialFlowAccount) -> float:
@@ -87,10 +94,10 @@ def potential_ceiling(account: MaterialFlowAccount) -> float:
     The dissipative share of input can never come back as original
     material, so the ceiling is the non-energetic share of total input.
     """
-    total = float(account.total_input)
+    total, recoverable, _ = _denominators(account)
     if total <= 0:
         raise UndefinedDenominatorError("total_input", "potential_ceiling")
-    return (total - float(account.energetic_input)) / total
+    return recoverable / total
 
 
 # The category identity (structural vs total - energetic) is exact only up
@@ -106,9 +113,7 @@ def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
     errors from individual metrics propagate (each names its metric);
     a rate outside [0, 1] raises MetricDomainError.
     """
-    total = float(account.total_input)
-    recoverable = total - float(account.energetic_input)
-    annually_recoverable = recoverable - float(account.net_stock_additions)
+    total, recoverable, annually_recoverable = _denominators(account)
     rates = {
         "apparent": (apparent_circularity(account), total),
         "dissipative_adjusted": (dissipative_adjusted_circularity(account), recoverable),
@@ -124,7 +129,7 @@ def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
             detail = ""
             if name == "real_rate" and rate > 1.0:
                 detail = (
-                    f": recycled_input ({float(account.recycled_input):.6g} Gt) exceeds the "
+                    f": recycled_input ({account.recycled_input:.6g} Gt) exceeds the "
                     f"annually recoverable pool ({annually_recoverable:.6g} Gt)"
                 )
             raise MetricDomainError(f"{name} = {rate:.6g} is outside [0, 1]{detail}")

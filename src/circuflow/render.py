@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING
 
 from .accounts import MASS_BALANCE, ValidationOutcome, ValidationStatus
@@ -65,9 +65,19 @@ class RenderSpec:
 
 
 def round_half_away(value: float, places: int) -> float:
-    """Round to ``places`` decimals with ties going away from zero."""
+    """Round to ``places`` decimals with ties going away from zero.
+
+    Infinities and NaN have no digits to round and come back unchanged.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        return value
+    exact = Decimal(repr(value))
+    # quantize fails unless the context holds every digit of the result: the
+    # integer digits (one more for a carry) plus ``places`` decimals.
+    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
     quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context))
 
 
 def format_percent(fraction: float, places: int) -> str:
@@ -207,7 +217,7 @@ def render_valuemap(
     """Render the five-way GDP attribution; mass column shown when an account is given."""
     spec = spec or RenderSpec()
     if spec.format == FORMAT_MACHINE:
-        pairs: list[tuple[str, object]] = [("gdp", float(attribution.gdp))]
+        pairs: list[tuple[str, object]] = [("gdp", attribution.gdp)]
         pairs += [
             (f"{key}_value", value) for key, value in attribution.values_by_category().items()
         ]
@@ -228,7 +238,7 @@ def render_valuemap(
         if account is not None:
             mass_field = _CATEGORY_MASS_FIELDS.get(key)
             mass = (
-                format_mass(float(getattr(account, mass_field)), places)
+                format_mass(getattr(account, mass_field), places)
                 if mass_field
                 else "-"
             )
@@ -247,7 +257,7 @@ def render_valuemap(
         if spec.format == FORMAT_MARKDOWN
         else _plain_table(headers, rows)
     )
-    out = [f"GDP value attribution ({format_money(float(attribution.gdp), places)} GDP)", "", table]
+    out = [f"GDP value attribution ({format_money(attribution.gdp, places)} GDP)", "", table]
     if services_share is not None:
         out += ["", f"services share of GDP (context only): {format_percent(services_share, places)}"]
     if spec.include_provenance_footnotes:
@@ -443,7 +453,7 @@ def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) 
         f'<text id="title" x="{bar_left}" y="30" font-size="18">'
         "GDP value by resource-flow category</text>"
     ]
-    x = float(bar_left)
+    x = bar_left
     for index, (key, label) in enumerate(_CATEGORY_LABELS):
         segment = shares[key] * bar_width
         if segment > 0:

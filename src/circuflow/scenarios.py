@@ -28,12 +28,12 @@ from .accounts import (
 )
 from .errors import ScenarioError, UndefinedDenominatorError
 from .metrics import CircularityReport, metric_suite
-from .quantities import MassQuantity, MonetaryQuantity
 from .valuemap import (
     CATEGORY_REVERSE_FLOW,
     EconomicAccount,
     ValueAttribution,
     attribute_value,
+    check_name,
     reverse_flow_gdp_share,
 )
 
@@ -121,8 +121,7 @@ class Scenario:
     steps: tuple[Transformation, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
+        check_name(self.name, "scenario")
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
@@ -160,88 +159,86 @@ def apply_scenario(
     notes: list[str] = []
 
     for index, step in enumerate(scenario.steps):
-        match step:
-            case SetRecoveryRate(fraction=fraction):
-                pool = float(annually_recoverable_input(current))
-                new_recycled = fraction * pool
-                increase = new_recycled - float(current.recycled_input)
-                new_waste = float(current.waste_output) - increase
-                if new_waste < 0:
-                    raise ScenarioError(
-                        scenario.name,
-                        index,
-                        f"recovery increase {increase:.6g} Gt exceeds the waste bin "
-                        f"({float(current.waste_output):.6g} Gt)",
+        try:
+            match step:
+                case SetRecoveryRate(fraction=fraction):
+                    pool = annually_recoverable_input(current)
+                    new_recycled = fraction * pool
+                    increase = new_recycled - current.recycled_input
+                    new_waste = current.waste_output - increase
+                    if new_waste < 0:
+                        raise ScenarioError(
+                            scenario.name,
+                            index,
+                            f"recovery increase {increase:.6g} Gt exceeds the waste bin "
+                            f"({current.waste_output:.6g} Gt)",
+                        )
+                    current = replace(
+                        current, recycled_input=new_recycled, waste_output=new_waste
                     )
-                current = replace(
-                    current,
-                    recycled_input=MassQuantity(new_recycled),
-                    waste_output=MassQuantity(new_waste),
-                )
-                # The loop is input-side bookkeeping: mass leaving the waste
-                # bin raises the flat residual by exactly the increase.
-                expected_residual += increase
-            case DivertWasteToStock(fraction=fraction):
-                moved = fraction * float(current.waste_output)
-                new_stock = float(current.net_stock_additions) + moved
-                if new_stock > float(current.structural_input):
-                    raise ScenarioError(
-                        scenario.name,
-                        index,
-                        f"diverting {moved:.6g} Gt would push net_stock_additions to "
-                        f"{new_stock:.6g} Gt, beyond structural_input "
-                        f"({float(current.structural_input):.6g} Gt)",
+                    # The loop is input-side bookkeeping: mass leaving the waste
+                    # bin raises the flat residual by exactly the increase.
+                    expected_residual += increase
+                case DivertWasteToStock(fraction=fraction):
+                    moved = fraction * current.waste_output
+                    new_stock = current.net_stock_additions + moved
+                    if new_stock > current.structural_input:
+                        raise ScenarioError(
+                            scenario.name,
+                            index,
+                            f"diverting {moved:.6g} Gt would push net_stock_additions to "
+                            f"{new_stock:.6g} Gt, beyond structural_input "
+                            f"({current.structural_input:.6g} Gt)",
+                        )
+                    current = replace(
+                        current,
+                        waste_output=current.waste_output - moved,
+                        net_stock_additions=new_stock,
                     )
-                current = replace(
-                    current,
-                    waste_output=MassQuantity(float(current.waste_output) - moved),
-                    net_stock_additions=MassQuantity(new_stock),
-                )
-            case ReplaceEnergeticWithStock(fraction=fraction):
-                moved = fraction * float(current.energetic_input)
-                current = replace(
-                    current,
-                    energetic_input=MassQuantity(float(current.energetic_input) - moved),
-                    structural_input=MassQuantity(float(current.structural_input) + moved),
-                    net_stock_additions=MassQuantity(
-                        float(current.net_stock_additions) + moved
-                    ),
-                )
-                expected_residual -= moved
-                if moved > 0:
-                    notes.append(
-                        f"{moved:.6g} Gt of energetic input rebooked as stock-building "
-                        "structural input; emissions_output left unchanged (emission "
-                        "modeling out of scope)"
+                case ReplaceEnergeticWithStock(fraction=fraction):
+                    moved = fraction * current.energetic_input
+                    current = replace(
+                        current,
+                        energetic_input=current.energetic_input - moved,
+                        structural_input=current.structural_input + moved,
+                        net_stock_additions=current.net_stock_additions + moved,
                     )
-            case ScaleReverseFlowValue(enabled=enabled):
-                original_recycled = float(account.recycled_input)
-                if enabled and original_recycled <= 0:
-                    raise ScenarioError(
-                        scenario.name,
-                        index,
-                        "proportional value scaling requires a nonzero baseline reverse flow",
+                    expected_residual -= moved
+                    if moved > 0:
+                        notes.append(
+                            f"{moved:.6g} Gt of energetic input rebooked as stock-building "
+                            "structural input; emissions_output left unchanged (emission "
+                            "modeling out of scope)"
+                        )
+                case ScaleReverseFlowValue(enabled=enabled):
+                    original_recycled = account.recycled_input
+                    if enabled and original_recycled <= 0:
+                        raise ScenarioError(
+                            scenario.name,
+                            index,
+                            "proportional value scaling requires a nonzero baseline reverse flow",
+                        )
+                    factor = current.recycled_input / original_recycled if enabled else 1.0
+                    current_economy = replace(
+                        current_economy,
+                        sectors=tuple(
+                            replace(sector, value=original.value * factor)
+                            if sector.category == CATEGORY_REVERSE_FLOW
+                            else sector
+                            for sector, original in zip(current_economy.sectors, economy.sectors)
+                        ),
                     )
-                factor = (
-                    float(current.recycled_input) / original_recycled if enabled else 1.0
-                )
-                current_economy = replace(
-                    current_economy,
-                    sectors=tuple(
-                        replace(sector, value=MonetaryQuantity(float(original.value) * factor))
-                        if sector.category == CATEGORY_REVERSE_FLOW
-                        else sector
-                        for sector, original in zip(current_economy.sectors, economy.sectors)
-                    ),
-                )
-                if enabled:
-                    notes.append(
-                        f"reverse-flow sector values scaled x{factor:.6g}, assuming value "
-                        "moves proportionally with the reverse flow (explicit assumption)"
-                    )
+                    if enabled:
+                        notes.append(
+                            f"reverse-flow sector values scaled x{factor:.6g}, assuming value "
+                            "moves proportionally with the reverse flow (explicit assumption)"
+                        )
+        except ValueError as exc:
+            # A record rejected the step's result, e.g. a value scaled to infinity.
+            raise ScenarioError(scenario.name, index, str(exc)) from None
 
     actual_residual = current.mass_residual()
-    if abs(actual_residual - expected_residual) > 1e-9 * max(float(current.total_input), 1.0):
+    if abs(actual_residual - expected_residual) > 1e-9 * max(current.total_input, 1.0):
         raise ScenarioError(
             scenario.name,
             None,
@@ -254,7 +251,7 @@ def apply_scenario(
         reasons = "; ".join(v.message for v in structural_violations)
         raise ScenarioError(scenario.name, None, f"transformed account is inconsistent: {reasons}")
     rebooked = expected_residual - baseline.residual
-    if abs(rebooked) > 1e-9 * max(float(current.total_input), 1.0):
+    if abs(rebooked) > 1e-9 * max(current.total_input, 1.0):
         notes.append(
             f"scenario rebooked {rebooked:+.6g} Gt across the input/output boundary; "
             f"balance judged net of that move (underlying residual "
@@ -279,8 +276,8 @@ def full_recovery_potential(
     recycled), assuming value moves proportionally with the flow.  With a
     zero reverse flow the proportionality is undefined.
     """
-    recycled = float(account.recycled_input)
+    recycled = account.recycled_input
     if recycled <= 0:
         raise UndefinedDenominatorError("recycled_input", "full_recovery_potential")
-    ratio = float(annually_recoverable_input(account)) / recycled
+    ratio = annually_recoverable_input(account) / recycled
     return ratio * reverse_flow_gdp_share(economy)

@@ -20,7 +20,6 @@ from .errors import (
     StockDepletionWarning,
     UndefinedDenominatorError,
 )
-from .quantities import MonetaryQuantity
 
 CATEGORY_REVERSE_FLOW = "reverse_flow"
 CATEGORY_DISSIPATIVE_FLOW = "dissipative_flow"
@@ -34,20 +33,46 @@ DEFAULT_CFC_RATE = 0.13
 _ATTRIBUTION_REL = 1e-9
 
 
+def _check_money(value: float) -> float:
+    """Return ``value`` as a float in trillions/yr, rejecting non-finite values.
+
+    Money may be signed (net capital formation is negative in a year of
+    stock depletion); records that need non-negativity check it themselves.
+    """
+    money = float(value)
+    if not math.isfinite(money):
+        raise ValueError(f"monetary value must be finite, got {value!r}")
+    return money
+
+
+def check_name(name: str, what: str, forbidden: str = "#") -> None:
+    """Reject a name that a document would not read back unchanged.
+
+    Documents strip whitespace around values, start a comment at ``#`` and
+    end an entry at any line break that ``str.splitlines`` recognises.
+    """
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"{what} name must be a non-empty string, got {name!r}")
+    if name != name.strip() or name.splitlines() != [name] or any(c in name for c in forbidden):
+        raise ValueError(
+            f"{what} name {name!r} must not start or end with whitespace, "
+            f"nor contain a line break or any of {forbidden!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SectorValue:
     """Annual value a sector adds, tagged with the flow category it rides on."""
 
     name: str
-    value: MonetaryQuantity
+    value: float
     category: str
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("sector name must be non-empty")
-        object.__setattr__(self, "value", MonetaryQuantity(self.value))
-        if float(self.value) < 0:
-            raise ValueError(f"sector value must be non-negative, got {float(self.value)!r}")
+        check_name(self.name, "sector", forbidden="#,")
+        object.__setattr__(self, "value", _check_money(self.value))
+        if self.value < 0:
+            raise ValueError(f"sector value must be non-negative, got {self.value!r}")
         if self.category not in SECTOR_CATEGORIES:
             raise ValueError(
                 f"sector category must be one of {SECTOR_CATEGORIES}, got {self.category!r}"
@@ -62,7 +87,7 @@ class EconomicAccount:
     """
 
     year: int
-    gdp: MonetaryQuantity
+    gdp: float
     gfcf_rate: float
     cfc_rate: float = DEFAULT_CFC_RATE
     sectors: tuple[SectorValue, ...] = field(default_factory=tuple)
@@ -71,9 +96,9 @@ class EconomicAccount:
     def __post_init__(self) -> None:
         if isinstance(self.year, bool) or not isinstance(self.year, int):
             raise ValueError(f"year must be an integer, got {self.year!r}")
-        object.__setattr__(self, "gdp", MonetaryQuantity(self.gdp))
-        if float(self.gdp) < 0:
-            raise ValueError(f"gdp must be non-negative, got {float(self.gdp)!r}")
+        object.__setattr__(self, "gdp", _check_money(self.gdp))
+        if self.gdp < 0:
+            raise ValueError(f"gdp must be non-negative, got {self.gdp!r}")
         for name in ("gfcf_rate", "cfc_rate"):
             rate = float(getattr(self, name))
             if not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
@@ -87,7 +112,8 @@ class EconomicAccount:
             object.__setattr__(self, "services_share", share)
 
     def sector_total(self, category: str) -> float:
-        return sum(float(s.value) for s in self.sectors if s.category == category)
+        # Start from 0.0: an empty category must still total a float.
+        return sum((s.value for s in self.sectors if s.category == category), 0.0)
 
 
 @dataclass(frozen=True)
@@ -98,12 +124,12 @@ class ValueAttribution:
     waste_value is identically zero.
     """
 
-    gdp: MonetaryQuantity
-    reverse_flow_value: MonetaryQuantity
-    dissipative_flow_value: MonetaryQuantity
-    stock_addition_value: MonetaryQuantity
-    waste_value: MonetaryQuantity
-    legacy_stock_value: MonetaryQuantity
+    gdp: float
+    reverse_flow_value: float
+    dissipative_flow_value: float
+    stock_addition_value: float
+    waste_value: float
+    legacy_stock_value: float
     reverse_flow_share: float
     dissipative_flow_share: float
     stock_addition_share: float
@@ -112,11 +138,11 @@ class ValueAttribution:
 
     def values_by_category(self) -> dict[str, float]:
         return {
-            "reverse_flow": float(self.reverse_flow_value),
-            "dissipative_flow": float(self.dissipative_flow_value),
-            "stock_addition": float(self.stock_addition_value),
-            "waste": float(self.waste_value),
-            "legacy_stock": float(self.legacy_stock_value),
+            "reverse_flow": self.reverse_flow_value,
+            "dissipative_flow": self.dissipative_flow_value,
+            "stock_addition": self.stock_addition_value,
+            "waste": self.waste_value,
+            "legacy_stock": self.legacy_stock_value,
         }
 
     def shares_by_category(self) -> dict[str, float]:
@@ -146,16 +172,16 @@ def nfcf_rate(economy: EconomicAccount) -> float:
     return rate
 
 
-def stock_addition_value(economy: EconomicAccount) -> MonetaryQuantity:
+def stock_addition_value(economy: EconomicAccount) -> float:
     """GDP value created by this year's net additions to stock (NFCF x GDP)."""
-    return MonetaryQuantity(nfcf_rate(economy) * float(economy.gdp))
+    return nfcf_rate(economy) * economy.gdp
 
 
 def reverse_flow_gdp_share(economy: EconomicAccount) -> float:
     """Share of GDP generated by reverse-flow (recovery) sectors."""
-    if float(economy.gdp) <= 0:
+    if economy.gdp <= 0:
         raise UndefinedDenominatorError("gdp", "reverse_flow_gdp_share")
-    return economy.sector_total(CATEGORY_REVERSE_FLOW) / float(economy.gdp)
+    return economy.sector_total(CATEGORY_REVERSE_FLOW) / economy.gdp
 
 
 def attribute_value(economy: EconomicAccount) -> ValueAttribution:
@@ -165,12 +191,12 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
         OverAttributionError: If the non-residual categories exceed GDP.
         UndefinedDenominatorError: If GDP is zero (shares undefined).
     """
-    gdp = float(economy.gdp)
+    gdp = economy.gdp
     if gdp <= 0:
         raise UndefinedDenominatorError("gdp", "attribute_value")
     reverse = economy.sector_total(CATEGORY_REVERSE_FLOW)
     dissipative = economy.sector_total(CATEGORY_DISSIPATIVE_FLOW)
-    stock = float(stock_addition_value(economy))
+    stock = stock_addition_value(economy)
     waste = 0.0  # unmanaged waste adds no value by definition
     attributed = reverse + dissipative + stock + waste
     excess = attributed - gdp
@@ -180,12 +206,12 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     if legacy < 0:
         legacy = 0.0  # float dust from the exact-sum edge case
     return ValueAttribution(
-        gdp=MonetaryQuantity(gdp),
-        reverse_flow_value=MonetaryQuantity(reverse),
-        dissipative_flow_value=MonetaryQuantity(dissipative),
-        stock_addition_value=MonetaryQuantity(stock),
-        waste_value=MonetaryQuantity(waste),
-        legacy_stock_value=MonetaryQuantity(legacy),
+        gdp=gdp,
+        reverse_flow_value=reverse,
+        dissipative_flow_value=dissipative,
+        stock_addition_value=stock,
+        waste_value=waste,
+        legacy_stock_value=legacy,
         reverse_flow_share=reverse / gdp,
         dissipative_flow_share=dissipative / gdp,
         stock_addition_share=stock / gdp,
@@ -199,6 +225,7 @@ def material_intensity(mass_kg: float, spend: float) -> float:
     mass = float(mass_kg)
     if not math.isfinite(mass) or mass < 0:
         raise ValueError(f"mass must be non-negative and finite, got {mass_kg!r}")
-    if not (float(spend) > 0):
+    spend = float(spend)
+    if not spend > 0:
         raise UndefinedDenominatorError("spend", "material_intensity")
-    return mass / float(spend)
+    return mass / spend

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from circuflow import EconomicAccount, MaterialFlowAccount, MonetaryQuantity, SectorValue
+from circuflow import EconomicAccount, MaterialFlowAccount, SectorValue
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -45,10 +45,10 @@ def reference_economy(**overrides) -> EconomicAccount:
         gfcf_rate=0.26,
         cfc_rate=0.13,
         sectors=(
-            SectorValue("waste_management", MonetaryQuantity(1.2), "reverse_flow"),
-            SectorValue("fossil_energy", MonetaryQuantity(6.0), "dissipative_flow"),
-            SectorValue("agriculture_food", MonetaryQuantity(4.5), "dissipative_flow"),
-            SectorValue("chemicals_industrial_materials", MonetaryQuantity(4.5), "dissipative_flow"),
+            SectorValue("waste_management", 1.2, "reverse_flow"),
+            SectorValue("fossil_energy", 6.0, "dissipative_flow"),
+            SectorValue("agriculture_food", 4.5, "dissipative_flow"),
+            SectorValue("chemicals_industrial_materials", 4.5, "dissipative_flow"),
         ),
         services_share=0.65,
     )
@@ -101,12 +101,12 @@ def random_economy(rng: random.Random, year: int = 2020) -> EconomicAccount:
             sectors.append(
                 SectorValue(
                     name=f"sector_{index}",
-                    value=MonetaryQuantity(weight / total_weight * total_value),
+                    value=weight / total_weight * total_value,
                     category=rng.choice(("reverse_flow", "dissipative_flow")),
                 )
             )
     return EconomicAccount(
-        year=year, gdp=MonetaryQuantity(gdp), gfcf_rate=gfcf, cfc_rate=cfc, sectors=tuple(sectors)
+        year=year, gdp=gdp, gfcf_rate=gfcf, cfc_rate=cfc, sectors=tuple(sectors)
     )
 
 
@@ -114,11 +114,11 @@ def scale_economy(economy: EconomicAccount, factor: float) -> EconomicAccount:
     """Multiply GDP and every sector value by ``factor`` (rates untouched)."""
     return EconomicAccount(
         year=economy.year,
-        gdp=MonetaryQuantity(float(economy.gdp) * factor),
+        gdp=economy.gdp * factor,
         gfcf_rate=economy.gfcf_rate,
         cfc_rate=economy.cfc_rate,
         sectors=tuple(
-            SectorValue(s.name, MonetaryQuantity(float(s.value) * factor), s.category)
+            SectorValue(s.name, s.value * factor, s.category)
             for s in economy.sectors
         ),
         services_share=economy.services_share,

@@ -1,5 +1,7 @@
 """Unit tests for the flow account record, validation and basic operations."""
 
+import re
+
 import pytest
 
 from circuflow import (
@@ -8,10 +10,10 @@ from circuflow import (
     UndefinedDenominatorError,
     ValidationStatus,
     annually_recoverable_input,
-    recoverable_input,
     validate,
     waste_share,
 )
+from circuflow.accounts import MASS_FIELDS
 from support import reference_account
 
 
@@ -19,6 +21,19 @@ class TestConstruction:
     def test_fields_coerced_to_mass(self, account):
         assert account.total_input == 104.0
         assert account.balance_tolerance == 0.05
+        from_ints = MaterialFlowAccount(
+            year=2020,
+            total_input=104,
+            energetic_input=40,
+            structural_input=64,
+            recycled_input=9,
+            emissions_output=45,
+            waste_output=25,
+            net_stock_additions=31,
+            balance_tolerance=0,
+        )
+        for name in MASS_FIELDS + ("balance_tolerance",):
+            assert type(getattr(from_ints, name)) is float, name
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -31,6 +46,24 @@ class TestConstruction:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError, match="balance_tolerance"):
             reference_account(balance_tolerance=-0.1)
+
+    @pytest.mark.parametrize(
+        "fields,sum_name",
+        [
+            (
+                dict(total_input=1.7e308, energetic_input=1e308, structural_input=1e308),
+                "energetic + structural",
+            ),
+            (
+                dict(total_input=1.7e308, structural_input=1.7e308 - 40.0,
+                     emissions_output=1e308, waste_output=1e308),
+                "emissions + waste + net_stock_additions",
+            ),
+        ],
+    )
+    def test_overflowing_sums_rejected(self, fields, sum_name):
+        with pytest.raises(ValueError, match=re.escape(sum_name)):
+            reference_account(**fields)
 
     def test_immutable(self, account):
         with pytest.raises(AttributeError):
@@ -98,6 +131,20 @@ class TestValidate:
         assert outcome.status is ValidationStatus.FAIL
         assert any(v.invariant == "mass_balance" for v in outcome.violations)
 
+    @pytest.mark.parametrize(
+        "tolerance,text",
+        [
+            (0.015, "exceeds the 1.5% tolerance"),
+            (0.035, "within the 3.5% tolerance"),
+            (0.05, "within the 5% tolerance"),
+            (0.1, "within the 10% tolerance"),
+        ],
+    )
+    def test_tolerance_printed_with_its_own_digits(self, tolerance, text):
+        # the residual is 2.88% of total input; the tolerance is printed, not rounded
+        outcome = validate(reference_account(balance_tolerance=tolerance))
+        assert text in outcome.checks[-1].message
+
     def test_idempotent_and_pure(self, account):
         first = validate(account)
         second = validate(account)
@@ -112,24 +159,6 @@ class TestValidate:
             "stock_additions_within_structural",
             "mass_balance",
         }
-
-
-class TestRecoverableInput:
-    def test_reference(self, account):
-        assert recoverable_input(account) == 64.0
-
-    def test_no_dissipation(self):
-        account = reference_account(energetic_input=0.0, structural_input=104.0)
-        assert recoverable_input(account) == account.total_input
-
-    def test_fully_dissipative(self):
-        account = reference_account(
-            energetic_input=104.0,
-            structural_input=0.0,
-            recycled_input=0.0,
-            net_stock_additions=0.0,
-        )
-        assert recoverable_input(account) == 0.0
 
 
 class TestAnnuallyRecoverableInput:

@@ -94,6 +94,61 @@ class TestValidateCommand:
         assert "undefined share" in out
 
 
+class TestHostileMagnitudes:
+    """Extreme inputs exit with a named error code, never a traceback."""
+
+    @staticmethod
+    def _account(tmp_path, **fields):
+        values = dict(
+            total_input=104, energetic_input=40, structural_input=64, recycled_input=9,
+            emissions_output=45, waste_output=25, net_stock_additions=31,
+        )
+        values.update(fields)
+        path = tmp_path / "hostile.account"
+        path.write_text("year = 2020\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        return str(path)
+
+    @pytest.mark.parametrize("places", ["26", "40"])
+    def test_many_decimal_places(self, places, capsys):
+        assert main(["metrics", ACCOUNT, "--round", places]) == 0
+        assert "14.06250000000000000000000000" in capsys.readouterr().out
+
+    def test_masses_beyond_the_default_decimal_precision(self, tmp_path, capsys):
+        path = self._account(
+            tmp_path, total_input=1.04e29, energetic_input=4e28, structural_input=6.4e28,
+            recycled_input=9e27, emissions_output=4.5e28, waste_output=2.5e28,
+            net_stock_additions=3.1e28,
+        )
+        assert main(["metrics", path]) == 0
+        assert "27.3%" in capsys.readouterr().out
+
+    def test_residual_share_beyond_float_range_in_percent(self, tmp_path, capsys):
+        # the share is -1e308, finite, but -1e310 once expressed in percent
+        path = self._account(
+            tmp_path, total_input=1e-308, energetic_input=0, structural_input=1e-308,
+            recycled_input=0, emissions_output=1.0, waste_output=0, net_stock_additions=0,
+        )
+        assert main(["validate", path]) == 2
+        assert "(-inf% of total input)" in capsys.readouterr().out
+
+    def test_overflowing_output_sum_is_a_parse_error(self, tmp_path, capsys):
+        path = self._account(
+            tmp_path, total_input=1.7e308, energetic_input=0, structural_input=1.7e308,
+            recycled_input=0, emissions_output=1e308, waste_output=1e308, net_stock_additions=0,
+        )
+        assert main(["validate", path]) == 4
+        assert "emissions + waste + net_stock_additions" in capsys.readouterr().err
+
+    def test_overflowing_reverse_flow_scaling_is_a_computation_error(self, tmp_path, capsys):
+        account = self._account(tmp_path, recycled_input=1e-308)
+        scenario = tmp_path / "blowup.scenario"
+        scenario.write_text(
+            "name = blowup\nstep = set_recovery_rate, 0.7\nstep = scale_reverse_flow_value, on\n"
+        )
+        assert main(["scenario", account, ECONOMY, str(scenario)]) == 3
+        assert "step 1: monetary value must be finite" in capsys.readouterr().err
+
+
 class TestMetricsCommand:
     def test_markdown_table(self, capsys):
         assert main(["metrics", ACCOUNT, "--format", "markdown"]) == 0

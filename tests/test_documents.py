@@ -152,6 +152,31 @@ class TestParseScenario:
             parse_scenario("step = set_recovery_rate, 0.5\n")
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "parse,path",
+        [
+            (parse_account, ACCOUNT_PATH),
+            (parse_economy, ECONOMY_PATH),
+            (parse_scenario, FULL_RECOVERY_PATH),
+        ],
+    )
+    def test_one_leading_bom_is_ignored(self, parse, path):
+        text = path.read_text()
+        assert parse("\ufeff" + text) == parse(text)
+
+
+class TestConstructorErrors:
+    def test_overflowing_sum_is_a_document_error(self):
+        text = (
+            ACCOUNT_TEXT.replace("total_input = 104", "total_input = 1.7e308")
+            .replace("energetic_input = 40", "energetic_input = 1e308")
+            .replace("structural_input = 64", "structural_input = 1e308")
+        )
+        with pytest.raises(DocumentError, match="energetic"):
+            parse_account(text)
+
+
 class TestRoundTrip:
     def test_account(self, account):
         assert parse_account(render_account(account)) == account

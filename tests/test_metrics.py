@@ -1,5 +1,7 @@
 """Unit tests for the circularity metric family."""
 
+from dataclasses import fields
+
 import pytest
 
 from circuflow import (
@@ -125,6 +127,28 @@ class TestMetricSuite:
         account = reference_account(net_stock_additions=64.0, recycled_input=0.0)
         with pytest.raises(UndefinedDenominatorError, match="real_circularity"):
             metric_suite(account)
+
+    @pytest.mark.parametrize(
+        "fields,context",
+        [
+            (dict(total_input=0.0, energetic_input=0.0, structural_input=0.0), "apparent_circularity"),
+            (dict(energetic_input=104.0, structural_input=0.0), "dissipative_adjusted_circularity"),
+        ],
+    )
+    def test_first_undefined_denominator_is_reported(self, fields, context):
+        zero_flows = dict(recycled_input=0.0, net_stock_additions=0.0)
+        with pytest.raises(UndefinedDenominatorError) as info:
+            metric_suite(reference_account(**zero_flows, **fields))
+        assert info.value.context == context
+
+    def test_report_fields_are_floats(self):
+        account = reference_account(
+            total_input=104, energetic_input=40, structural_input=64, recycled_input=9,
+            net_stock_additions=31,
+        )
+        report = metric_suite(account)
+        for item in fields(report):
+            assert type(getattr(report, item.name)) is float, item.name
 
     def test_recycled_beyond_pool_is_a_domain_error(self):
         # recycled (20) exceeds the annually recoverable pool (64 - 55 = 9)

@@ -13,7 +13,6 @@ import pytest
 
 from circuflow import (
     EconomicAccount,
-    MonetaryQuantity,
     Scenario,
     SectorValue,
     SetRecoveryRate,
@@ -23,7 +22,6 @@ from circuflow import (
     attribute_value,
     full_recovery_potential,
     metric_suite,
-    recoverable_input,
     reverse_flow_gdp_share,
     validate,
     waste_share,
@@ -97,7 +95,7 @@ def test_recoverable_ordering():
     rng = random.Random(105)
     for _ in range(N):
         account = random_valid_account(rng)
-        assert recoverable_input(account) >= annually_recoverable_input(account) >= 0.0
+        assert account.structural_input >= annually_recoverable_input(account) >= 0.0
 
 
 def test_exactly_balanced_accounts_pass_clean():
@@ -170,7 +168,7 @@ def test_attribution_monotonicity_in_sector_values():
             gfcf_rate=economy.gfcf_rate,
             cfc_rate=economy.cfc_rate,
             sectors=economy.sectors
-            + (SectorValue("extra", MonetaryQuantity(bump), "dissipative_flow"),),
+            + (SectorValue("extra", bump, "dissipative_flow"),),
             services_share=economy.services_share,
         )
         legacy_after = float(attribute_value(grown).legacy_stock_value)
@@ -316,3 +314,113 @@ def test_random_step_compositions_conserve_mass():
             expected, abs=1e-9 * max(1.0, float(account.total_input))
         )
     assert applied > N // 2  # the fuzz must mostly exercise the success path
+
+
+def test_round_half_away_matches_exact_oracle_across_magnitudes():
+    from fractions import Fraction
+
+    from circuflow.render import round_half_away
+
+    def oracle(value, places):
+        # exact rational arithmetic on the printed (repr) value, ties away from zero
+        exact = Fraction(repr(value))
+        scale = 10**places
+        magnitude = math.floor(abs(exact) * scale + Fraction(1, 2))
+        return float(Fraction(magnitude, scale) * (1 if exact >= 0 else -1))
+
+    rng = random.Random(118)
+    for _ in range(N):
+        value = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-12, 307)
+        places = rng.randint(0, 40)
+        assert round_half_away(value, places) == oracle(value, places), (value, places)
+        # a tie in the last place kept
+        tie = float(f"{rng.randint(0, 10**6)}.{rng.randint(0, 10**places - 1):0{places}d}5")
+        assert round_half_away(tie, places) == oracle(tie, places), (tie, places)
+    for places in range(41):
+        for value in (1.7e308, 1e-12, 61.5, -0.5):
+            assert round_half_away(value, places) == oracle(value, places), (value, places)
+
+
+def _machine_values(text):
+    return [line.partition(" = ")[2] for line in text.splitlines()]
+
+
+def test_machine_output_prints_every_value_as_a_float_repr():
+    """Machine values are shortest-round-trip floats, also for an empty sector category."""
+    from circuflow.render import (
+        RenderSpec,
+        render_metrics,
+        render_scenario_comparison,
+        render_valuemap,
+    )
+
+    rng = random.Random(119)
+    spec = RenderSpec(format="machine")
+    scenario = Scenario("full", (SetRecoveryRate(1.0),))
+    empty_categories = 0
+    for index in range(N):
+        account = random_valid_account(rng)
+        economy = random_economy(rng)
+        if index % 2:
+            keep = rng.choice(("reverse_flow", "dissipative_flow"))
+            economy = replace(
+                economy, sectors=tuple(s for s in economy.sectors if s.category == keep)
+            )
+        categories = {s.category for s in economy.sectors}
+        empty_categories += len(categories) < 2
+        report = metric_suite(account)
+        attribution = attribute_value(economy)
+        result = apply_scenario(account, economy, scenario)
+        texts = (
+            render_metrics(report, spec),
+            render_valuemap(attribution, spec, services_share=economy.services_share),
+            render_scenario_comparison(
+                scenario.name,
+                report,
+                attribution,
+                waste_share(account),
+                result.report,
+                result.attribution,
+                waste_share(result.account),
+                spec=spec,
+            ),
+        )
+        for text in texts:
+            for value in _machine_values(text):
+                assert value == repr(float(value)), text
+    assert empty_categories > N // 2
+
+
+def test_adversarial_names_are_rejected_or_round_trip():
+    from circuflow.documents import (
+        parse_economy,
+        parse_scenario,
+        render_economy,
+        render_scenario,
+    )
+
+    plain = "aZ7 =\xe9\x1f\xa0\ufeff"
+    hostile = ",#\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u3000 "
+    rng = random.Random(120)
+    rejected = kept = 0
+    for _ in range(N):
+        name = "".join(rng.choice(plain) for _ in range(rng.randint(0, 6)))
+        if rng.random() < 0.5:
+            at = rng.randint(0, len(name))
+            name = name[:at] + rng.choice(hostile) + name[at:]
+        try:
+            sector = SectorValue(name, 1.0, "reverse_flow")
+        except ValueError:
+            rejected += 1
+        else:
+            kept += 1
+            economy = EconomicAccount(year=2020, gdp=86.0, gfcf_rate=0.26, sectors=(sector,))
+            assert parse_economy(render_economy(economy)) == economy, repr(name)
+        try:
+            scenario = Scenario(name, (SetRecoveryRate(0.5),))
+        except ValueError:
+            rejected += 1
+        else:
+            kept += 1
+            assert parse_scenario(render_scenario(scenario)) == scenario, repr(name)
+    assert rejected > N // 4 and kept > N // 4

@@ -1,5 +1,6 @@
 """Unit tests for rounding, formatting and report rendering."""
 
+import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -53,6 +54,17 @@ class TestRounding:
                     )
                 )
                 assert round_half_away(value, places) == oracle
+
+    @pytest.mark.parametrize("value", [104.0, 9.0 / 104.0 * 100.0, 1.7e308])
+    def test_more_digits_than_the_default_decimal_context(self, value):
+        # 28 significant digits is decimal's default; quantize used to raise past it
+        assert round_half_away(value, 40) == value
+        assert round_half_away(-value, 26) == -value
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinities_pass_through(self, value):
+        assert round_half_away(value, 1) == value
+        assert math.isnan(round_half_away(math.nan, 1))
 
     def test_format_percent(self):
         assert format_percent(9.0 / 104.0, 1) == "8.7%"

@@ -31,6 +31,15 @@ class TestTransformationRecords:
         with pytest.raises(ValueError, match="name"):
             Scenario(name="", steps=())
 
+    @pytest.mark.parametrize("name", ["x # y", " pad ", "a\u2028b", "two\nlines", "tab\t"])
+    def test_names_a_document_would_change_are_rejected(self, name):
+        with pytest.raises(ValueError, match="name"):
+            Scenario(name=name, steps=())
+
+    @pytest.mark.parametrize("name", ["sweep 12", "batch case 7", "a, b = c"])
+    def test_ordinary_names_accepted(self, name):
+        assert Scenario(name=name).name == name
+
 
 class TestFullRecovery:
     def test_reference_pair(self, account, economy):
@@ -145,6 +154,14 @@ class TestStepErrors:
         result = apply_scenario(account, economy, Scenario("x", (ScaleReverseFlowValue(False),)))
         assert result.account == account
         assert result.economy == economy
+
+    def test_step_result_no_record_accepts_names_the_step(self, economy):
+        # 0.7 of the 33 Gt pool over a 1e-308 baseline scales sector value to inf
+        account = reference_account(recycled_input=1e-308)
+        scenario = Scenario("x", (SetRecoveryRate(0.7), ScaleReverseFlowValue(True)))
+        with pytest.raises(ScenarioError, match="monetary value must be finite") as info:
+            apply_scenario(account, economy, scenario)
+        assert info.value.step_index == 1
 
     def test_invalid_baseline_aborts(self, economy):
         account = reference_account(total_input=100.0)  # category sum broken

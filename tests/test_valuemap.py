@@ -1,9 +1,11 @@
 """Unit tests for GDP value attribution."""
 
+from dataclasses import fields
+
 import pytest
 
 from circuflow import (
-    MonetaryQuantity,
+    EconomicAccount,
     OverAttributionError,
     SectorValue,
     StockDepletionWarning,
@@ -20,11 +22,11 @@ from support import reference_economy
 class TestRecords:
     def test_sector_value_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
-            SectorValue("x", MonetaryQuantity(-1.0), "reverse_flow")
+            SectorValue("x", -1.0, "reverse_flow")
 
     def test_sector_value_rejects_unknown_category(self):
         with pytest.raises(ValueError, match="category"):
-            SectorValue("x", MonetaryQuantity(1.0), "sideways_flow")
+            SectorValue("x", 1.0, "sideways_flow")
 
     def test_rates_must_be_fractions(self):
         with pytest.raises(ValueError, match="gfcf_rate"):
@@ -32,11 +34,34 @@ class TestRecords:
 
     def test_sector_name_must_be_non_empty(self):
         with pytest.raises(ValueError, match="name"):
-            SectorValue("", MonetaryQuantity(1.0), "reverse_flow")
+            SectorValue("", 1.0, "reverse_flow")
 
     def test_year_must_be_int(self):
         with pytest.raises(ValueError, match="year"):
             reference_economy(year=2020.5)
+
+    @pytest.mark.parametrize("name", ["a,b", "x # y", " pad", "a\u2028b", "a\r\nb", 7])
+    def test_sector_names_a_document_would_change_are_rejected(self, name):
+        with pytest.raises(ValueError, match="name"):
+            SectorValue(name, 1.0, "reverse_flow")
+
+    def test_numeric_fields_are_floats(self):
+        # built from ints, with the reverse-flow category left empty
+        economy = EconomicAccount(
+            year=2020,
+            gdp=86,
+            gfcf_rate=0,
+            cfc_rate=0,
+            sectors=(SectorValue("waste management 3", 15, "dissipative_flow"),),
+            services_share=1,
+        )
+        attribution = attribute_value(economy)
+        records = (economy.sectors[0], economy, attribution)
+        for record in records:
+            for item in fields(record):
+                value = getattr(record, item.name)
+                if item.name not in ("name", "category", "year", "sectors"):
+                    assert type(value) is float, (type(record).__name__, item.name)
 
     def test_services_share_is_stored_context(self, economy):
         assert economy.services_share == 0.65
@@ -94,7 +119,7 @@ class TestAttributeValue:
 
     def test_no_residual(self):
         economy = reference_economy(
-            sectors=(SectorValue("everything", MonetaryQuantity(86.0), "dissipative_flow"),),
+            sectors=(SectorValue("everything", 86.0, "dissipative_flow"),),
             gfcf_rate=0.13,
             cfc_rate=0.13,
         )
@@ -103,7 +128,7 @@ class TestAttributeValue:
 
     def test_over_attribution_reports_excess(self):
         economy = reference_economy(
-            sectors=(SectorValue("too_big", MonetaryQuantity(90.0), "dissipative_flow"),)
+            sectors=(SectorValue("too_big", 90.0, "dissipative_flow"),)
         )
         with pytest.raises(OverAttributionError) as info:
             attribute_value(economy)
@@ -120,7 +145,7 @@ class TestReverseFlowShare:
 
     def test_zero_reverse_value(self):
         economy = reference_economy(
-            sectors=(SectorValue("energy", MonetaryQuantity(15.0), "dissipative_flow"),)
+            sectors=(SectorValue("energy", 15.0, "dissipative_flow"),)
         )
         assert reverse_flow_gdp_share(economy) == 0.0
 
