@@ -24,11 +24,11 @@ overflow to infinity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
 from .errors import AccountInvariantError, UndefinedDenominatorError
+from .record import Record, set_field
 
 DEFAULT_BALANCE_TOLERANCE = 0.05
 
@@ -72,8 +72,7 @@ STOCK_ADDITIONS_WITHIN_STRUCTURAL = "stock_additions_within_structural"
 MASS_BALANCE = "mass_balance"
 
 
-@dataclass(frozen=True)
-class MaterialFlowAccount:
+class MaterialFlowAccount(Record):
     """One year's economy-wide mass flows, in Gt/yr.
 
     Attributes:
@@ -91,21 +90,34 @@ class MaterialFlowAccount:
             of total_input.
     """
 
-    year: int
-    total_input: float
-    energetic_input: float
-    structural_input: float
-    recycled_input: float
-    emissions_output: float
-    waste_output: float
-    net_stock_additions: float
-    balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE
+    __slots__ = ("year",) + MASS_FIELDS + ("balance_tolerance",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.year, bool) or not isinstance(self.year, int):
-            raise ValueError(f"year must be an integer, got {self.year!r}")
-        for name in MASS_FIELDS:
-            object.__setattr__(self, name, check_mass(getattr(self, name)))
+    def __init__(
+        self,
+        year: int,
+        total_input: float,
+        energetic_input: float,
+        structural_input: float,
+        recycled_input: float,
+        emissions_output: float,
+        waste_output: float,
+        net_stock_additions: float,
+        balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE,
+    ) -> None:
+        if isinstance(year, bool) or not isinstance(year, int):
+            raise ValueError(f"year must be an integer, got {year!r}")
+        set_field(self, "year", year)
+        masses = (
+            total_input,
+            energetic_input,
+            structural_input,
+            recycled_input,
+            emissions_output,
+            waste_output,
+            net_stock_additions,
+        )
+        for name, value in zip(MASS_FIELDS, masses):
+            set_field(self, name, check_mass(value))
         # validate() adds these bins; a sum that overflows would surface as an
         # infinite residual or category gap instead of a named error.
         if not math.isfinite(self.energetic_input + self.structural_input):
@@ -116,10 +128,10 @@ class MaterialFlowAccount:
             raise ValueError(
                 "mass sum emissions + waste + net_stock_additions overflows to infinity"
             )
-        tol = float(self.balance_tolerance)
+        tol = float(balance_tolerance)
         if not math.isfinite(tol) or not 0.0 <= tol <= 1.0:
             raise ValueError(f"balance_tolerance must be a fraction in [0, 1], got {tol!r}")
-        object.__setattr__(self, "balance_tolerance", tol)
+        set_field(self, "balance_tolerance", tol)
 
     def mass_residual(self) -> float:
         """Unexplained mass: total input minus the sum of the output bins."""
@@ -141,21 +153,31 @@ class ValidationStatus(Enum):
     FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One invariant's verdict: ``invariant`` is a stable code, message is for humans."""
 
-    invariant: str
-    passed: bool
-    message: str
+    __slots__ = ("invariant", "passed", "message")
+
+    def __init__(self, invariant: str, passed: bool, message: str) -> None:
+        set_field(self, "invariant", invariant)
+        set_field(self, "passed", passed)
+        set_field(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
-    status: ValidationStatus
-    residual: float
-    residual_share: float
-    checks: tuple[CheckResult, ...]
+class ValidationOutcome(Record):
+    __slots__ = ("status", "residual", "residual_share", "checks")
+
+    def __init__(
+        self,
+        status: ValidationStatus,
+        residual: float,
+        residual_share: float,
+        checks: tuple[CheckResult, ...],
+    ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "residual", residual)
+        set_field(self, "residual_share", residual_share)
+        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -164,6 +186,26 @@ class ValidationOutcome:
     @property
     def violations(self) -> tuple[CheckResult, ...]:
         return tuple(check for check in self.checks if not check.passed)
+
+
+def round_half_away(value: float, places: int) -> float:
+    """Round to ``places`` decimals with ties going away from zero.
+
+    Infinities and NaN have no digits to round and come back unchanged.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        return value
+    exact = Decimal(repr(value))
+    # quantize fails unless the context holds every digit of the result: the
+    # integer digits (one more for a carry) plus ``places`` decimals.
+    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
+    quantum = Decimal(1).scaleb(-places)
+    return float(exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context))
+
+
+def format_percent(fraction: float, places: int) -> str:
+    return f"{round_half_away(fraction * 100.0, places):.{places}f}%"
 
 
 def _percent(fraction: float) -> str:
@@ -239,13 +281,13 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     elif within_tolerance:
         balance_message = (
             f"unexplained residual {residual:.6g} Gt "
-            f"({residual_share:.2%} of total input) within the "
+            f"({format_percent(residual_share, 2)} of total input) within the "
             f"{_percent(account.balance_tolerance)} tolerance"
         )
     else:
         balance_message = (
             f"unexplained residual {residual:.6g} Gt "
-            f"({residual_share:.2%} of total input) exceeds the "
+            f"({format_percent(residual_share, 2)} of total input) exceeds the "
             f"{_percent(account.balance_tolerance)} tolerance"
         )
     checks.append(

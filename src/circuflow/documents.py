@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .accounts import (
@@ -48,11 +47,15 @@ ECONOMY_REQUIRED_KEYS = ("year", "gdp", "gfcf_rate")
 ECONOMY_OPTIONAL_KEYS = ("cfc_rate", "services_share")
 
 
-@dataclass(frozen=True)
 class _Entry:
-    line: int
-    key: str
-    value: str
+    """One ``key = value`` line of a document."""
+
+    __slots__ = ("line", "key", "value")
+
+    def __init__(self, line: int, key: str, value: str) -> None:
+        self.line = line
+        self.key = key
+        self.value = value
 
 
 def _parse_entries(text: str) -> list[_Entry]:
@@ -241,14 +244,20 @@ def parse_economy(text: str) -> EconomicAccount:
         _parse_fraction(scalars["services_share"]) if "services_share" in scalars else None
     )
 
-    return valuemap.EconomicAccount(
-        year=_parse_int(scalars["year"]),
-        gdp=gdp,
-        gfcf_rate=_parse_fraction(scalars["gfcf_rate"]),
-        cfc_rate=cfc_rate,
-        sectors=tuple(_parse_sector(entry, valuemap) for entry in sector_entries),
-        services_share=services_share,
-    )
+    year = _parse_int(scalars["year"])
+    gfcf_rate = _parse_fraction(scalars["gfcf_rate"])
+    sectors = tuple(_parse_sector(entry, valuemap) for entry in sector_entries)
+    try:
+        return valuemap.EconomicAccount(
+            year=year,
+            gdp=gdp,
+            gfcf_rate=gfcf_rate,
+            cfc_rate=cfc_rate,
+            sectors=sectors,
+            services_share=services_share,
+        )
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def render_economy(economy: EconomicAccount) -> str:

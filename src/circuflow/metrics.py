@@ -16,23 +16,41 @@ circularity, which is worth saying out loud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .accounts import MaterialFlowAccount
 from .errors import MetricDomainError, UndefinedDenominatorError
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class CircularityReport:
+class CircularityReport(Record):
     """The metric family plus the three mass denominators it used (Gt)."""
 
-    apparent: float
-    dissipative_adjusted: float
-    real_rate: float
-    potential_ceiling: float
-    denominator_total: float
-    denominator_recoverable: float
-    denominator_annually_recoverable: float
+    __slots__ = (
+        "apparent",
+        "dissipative_adjusted",
+        "real_rate",
+        "potential_ceiling",
+        "denominator_total",
+        "denominator_recoverable",
+        "denominator_annually_recoverable",
+    )
+
+    def __init__(
+        self,
+        apparent: float,
+        dissipative_adjusted: float,
+        real_rate: float,
+        potential_ceiling: float,
+        denominator_total: float,
+        denominator_recoverable: float,
+        denominator_annually_recoverable: float,
+    ) -> None:
+        set_field(self, "apparent", apparent)
+        set_field(self, "dissipative_adjusted", dissipative_adjusted)
+        set_field(self, "real_rate", real_rate)
+        set_field(self, "potential_ceiling", potential_ceiling)
+        set_field(self, "denominator_total", denominator_total)
+        set_field(self, "denominator_recoverable", denominator_recoverable)
+        set_field(self, "denominator_annually_recoverable", denominator_annually_recoverable)
 
     def rates(self) -> dict[str, float]:
         return {

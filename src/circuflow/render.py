@@ -1,20 +1,26 @@
 """Report rendering: plain tables, markdown, machine key-value lines, SVG.
 
-Numbers are rounded half-away-from-zero at the configured precision, and
-only here; upstream everything is an exact quotient.  Machine format
-emits shortest-round-trip floats, so identical inputs give byte-identical
-output.  SVG charts are emitted from small string templates on purpose:
-the tool stays dependency-free.
+Numbers are rounded half-away-from-zero at the configured precision, by
+the helpers ``accounts`` also uses for its own messages; upstream every
+other number is an exact quotient.  Machine format emits shortest-round-trip
+floats, so identical inputs give byte-identical output.  SVG charts are
+emitted from small string templates on purpose: the tool stays
+dependency-free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING
 
-from .accounts import MASS_BALANCE, ValidationOutcome, ValidationStatus
+from .accounts import (
+    MASS_BALANCE,
+    ValidationOutcome,
+    ValidationStatus,
+    format_percent,
+    round_half_away,
+)
+from .record import Record, set_field
 
 if TYPE_CHECKING:
     from .accounts import MaterialFlowAccount
@@ -43,8 +49,7 @@ _CATEGORY_LABELS = (
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Record):
     """How to render a report.
 
     ``rounding`` is the number of decimal places for percentages (and, for
@@ -53,35 +58,21 @@ class RenderSpec:
     zero places, never 61%.
     """
 
-    format: str = FORMAT_PLAIN
-    rounding: int = 1
-    include_provenance_footnotes: bool = True
+    __slots__ = ("format", "rounding", "include_provenance_footnotes")
 
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if not isinstance(self.rounding, int) or self.rounding < 0:
-            raise ValueError(f"rounding must be a non-negative integer, got {self.rounding!r}")
-
-
-def round_half_away(value: float, places: int) -> float:
-    """Round to ``places`` decimals with ties going away from zero.
-
-    Infinities and NaN have no digits to round and come back unchanged.
-    """
-    value = float(value)
-    if not math.isfinite(value):
-        return value
-    exact = Decimal(repr(value))
-    # quantize fails unless the context holds every digit of the result: the
-    # integer digits (one more for a carry) plus ``places`` decimals.
-    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
-    quantum = Decimal(1).scaleb(-places)
-    return float(exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context))
-
-
-def format_percent(fraction: float, places: int) -> str:
-    return f"{round_half_away(fraction * 100.0, places):.{places}f}%"
+    def __init__(
+        self,
+        format: str = FORMAT_PLAIN,
+        rounding: int = 1,
+        include_provenance_footnotes: bool = True,
+    ) -> None:
+        if format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+        if not isinstance(rounding, int) or rounding < 0:
+            raise ValueError(f"rounding must be a non-negative integer, got {rounding!r}")
+        set_field(self, "format", format)
+        set_field(self, "rounding", rounding)
+        set_field(self, "include_provenance_footnotes", include_provenance_footnotes)
 
 
 def format_percent_delta(delta_fraction: float, places: int) -> str:

@@ -18,7 +18,6 @@ moves; the balance tolerance is judged net of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from .accounts import (
     MASS_BALANCE,
@@ -28,6 +27,7 @@ from .accounts import (
 )
 from .errors import ScenarioError, UndefinedDenominatorError
 from .metrics import CircularityReport, metric_suite
+from .record import Record, set_field
 from .valuemap import (
     CATEGORY_REVERSE_FLOW,
     EconomicAccount,
@@ -45,32 +45,29 @@ def _check_fraction(value: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class SetRecoveryRate:
+class SetRecoveryRate(Record):
     """Set recycled_input to ``fraction`` of the annually recoverable pool.
 
     The change is taken from (or, when lowering the rate, returned to) the
     waste bin: recovered material is exactly the would-be waste.
     """
 
-    fraction: float
+    __slots__ = ("fraction",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fraction", _check_fraction(self.fraction))
+    def __init__(self, fraction: float) -> None:
+        set_field(self, "fraction", _check_fraction(fraction))
 
 
-@dataclass(frozen=True)
-class DivertWasteToStock:
+class DivertWasteToStock(Record):
     """Move ``fraction`` of waste_output into net_stock_additions."""
 
-    fraction: float
+    __slots__ = ("fraction",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fraction", _check_fraction(self.fraction))
+    def __init__(self, fraction: float) -> None:
+        set_field(self, "fraction", _check_fraction(fraction))
 
 
-@dataclass(frozen=True)
-class ReplaceEnergeticWithStock:
+class ReplaceEnergeticWithStock(Record):
     """Rebook ``fraction`` of energetic_input as structural input added to stocks.
 
     Models dissipative supply replaced by durable, material-intensive
@@ -78,14 +75,13 @@ class ReplaceEnergeticWithStock:
     emission modeling is out of scope and the result carries a note.
     """
 
-    fraction: float
+    __slots__ = ("fraction",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fraction", _check_fraction(self.fraction))
+    def __init__(self, fraction: float) -> None:
+        set_field(self, "fraction", _check_fraction(fraction))
 
 
-@dataclass(frozen=True)
-class ScaleReverseFlowValue:
+class ScaleReverseFlowValue(Record):
     """When enabled, scale reverse-flow sector values with the reverse flow.
 
     Sector values are rescaled from their *original* levels by the ratio of
@@ -96,7 +92,10 @@ class ScaleReverseFlowValue:
     assumption, never applied silently.
     """
 
-    enabled: bool = True
+    __slots__ = ("enabled",)
+
+    def __init__(self, enabled: bool = True) -> None:
+        set_field(self, "enabled", enabled)
 
 
 Transformation = (
@@ -113,27 +112,35 @@ STEP_OPS: dict[str, type[Transformation]] = {
 OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls in STEP_OPS.items()}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named, ordered list of transformations."""
 
-    name: str
-    steps: tuple[Transformation, ...] = field(default_factory=tuple)
+    __slots__ = ("name", "steps")
 
-    def __post_init__(self) -> None:
-        check_name(self.name, "scenario")
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, name: str, steps: tuple[Transformation, ...] = ()) -> None:
+        check_name(name, "scenario")
+        set_field(self, "name", name)
+        set_field(self, "steps", tuple(steps))
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     """Transformed pair plus the reports recomputed on it."""
 
-    account: MaterialFlowAccount
-    economy: EconomicAccount
-    report: CircularityReport
-    attribution: ValueAttribution
-    notes: tuple[str, ...] = ()
+    __slots__ = ("account", "economy", "report", "attribution", "notes")
+
+    def __init__(
+        self,
+        account: MaterialFlowAccount,
+        economy: EconomicAccount,
+        report: CircularityReport,
+        attribution: ValueAttribution,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "account", account)
+        set_field(self, "economy", economy)
+        set_field(self, "report", report)
+        set_field(self, "attribution", attribution)
+        set_field(self, "notes", notes)
 
 
 def apply_scenario(
@@ -173,8 +180,8 @@ def apply_scenario(
                             f"recovery increase {increase:.6g} Gt exceeds the waste bin "
                             f"({current.waste_output:.6g} Gt)",
                         )
-                    current = replace(
-                        current, recycled_input=new_recycled, waste_output=new_waste
+                    current = current.replace(
+                        recycled_input=new_recycled, waste_output=new_waste
                     )
                     # The loop is input-side bookkeeping: mass leaving the waste
                     # bin raises the flat residual by exactly the increase.
@@ -190,15 +197,13 @@ def apply_scenario(
                             f"{new_stock:.6g} Gt, beyond structural_input "
                             f"({current.structural_input:.6g} Gt)",
                         )
-                    current = replace(
-                        current,
+                    current = current.replace(
                         waste_output=current.waste_output - moved,
                         net_stock_additions=new_stock,
                     )
                 case ReplaceEnergeticWithStock(fraction=fraction):
                     moved = fraction * current.energetic_input
-                    current = replace(
-                        current,
+                    current = current.replace(
                         energetic_input=current.energetic_input - moved,
                         structural_input=current.structural_input + moved,
                         net_stock_additions=current.net_stock_additions + moved,
@@ -219,10 +224,9 @@ def apply_scenario(
                             "proportional value scaling requires a nonzero baseline reverse flow",
                         )
                     factor = current.recycled_input / original_recycled if enabled else 1.0
-                    current_economy = replace(
-                        current_economy,
+                    current_economy = current_economy.replace(
                         sectors=tuple(
-                            replace(sector, value=original.value * factor)
+                            sector.replace(value=original.value * factor)
                             if sector.category == CATEGORY_REVERSE_FLOW
                             else sector
                             for sector, original in zip(current_economy.sectors, economy.sectors)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import (
+    CircuflowError,
     OverAttributionError,
     StockDepletionWarning,
     UndefinedDenominatorError,
 )
+from .record import Record, set_field
 
 CATEGORY_REVERSE_FLOW = "reverse_flow"
 CATEGORY_DISSIPATIVE_FLOW = "dissipative_flow"
@@ -60,81 +61,119 @@ def check_name(name: str, what: str, forbidden: str = "#") -> None:
         )
 
 
-@dataclass(frozen=True)
-class SectorValue:
+class SectorValue(Record):
     """Annual value a sector adds, tagged with the flow category it rides on."""
 
-    name: str
-    value: float
-    category: str
+    __slots__ = ("name", "value", "category")
 
-    def __post_init__(self) -> None:
-        check_name(self.name, "sector", forbidden="#,")
-        object.__setattr__(self, "value", _check_money(self.value))
-        if self.value < 0:
-            raise ValueError(f"sector value must be non-negative, got {self.value!r}")
-        if self.category not in SECTOR_CATEGORIES:
+    def __init__(self, name: str, value: float, category: str) -> None:
+        check_name(name, "sector", forbidden="#,")
+        value = _check_money(value)
+        if value < 0:
+            raise ValueError(f"sector value must be non-negative, got {value!r}")
+        if category not in SECTOR_CATEGORIES:
             raise ValueError(
-                f"sector category must be one of {SECTOR_CATEGORIES}, got {self.category!r}"
+                f"sector category must be one of {SECTOR_CATEGORIES}, got {category!r}"
             )
+        set_field(self, "name", name)
+        set_field(self, "value", value)
+        set_field(self, "category", category)
 
 
-@dataclass(frozen=True)
-class EconomicAccount:
+class EconomicAccount(Record):
     """One year's monetary aggregates, in trillion currency units.
 
     ``services_share`` is context only (displayed, never computed with).
     """
 
-    year: int
-    gdp: float
-    gfcf_rate: float
-    cfc_rate: float = DEFAULT_CFC_RATE
-    sectors: tuple[SectorValue, ...] = field(default_factory=tuple)
-    services_share: float | None = None
+    __slots__ = ("year", "gdp", "gfcf_rate", "cfc_rate", "sectors", "services_share")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.year, bool) or not isinstance(self.year, int):
-            raise ValueError(f"year must be an integer, got {self.year!r}")
-        object.__setattr__(self, "gdp", _check_money(self.gdp))
-        if self.gdp < 0:
-            raise ValueError(f"gdp must be non-negative, got {self.gdp!r}")
-        for name in ("gfcf_rate", "cfc_rate"):
-            rate = float(getattr(self, name))
+    def __init__(
+        self,
+        year: int,
+        gdp: float,
+        gfcf_rate: float,
+        cfc_rate: float = DEFAULT_CFC_RATE,
+        sectors: tuple[SectorValue, ...] = (),
+        services_share: float | None = None,
+    ) -> None:
+        if isinstance(year, bool) or not isinstance(year, int):
+            raise ValueError(f"year must be an integer, got {year!r}")
+        set_field(self, "year", year)
+        gdp = _check_money(gdp)
+        if gdp < 0:
+            raise ValueError(f"gdp must be non-negative, got {gdp!r}")
+        set_field(self, "gdp", gdp)
+        for name, rate in (("gfcf_rate", gfcf_rate), ("cfc_rate", cfc_rate)):
+            rate = float(rate)
             if not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a fraction in [0, 1], got {rate!r}")
-            object.__setattr__(self, name, rate)
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        if self.services_share is not None:
-            share = float(self.services_share)
-            if not math.isfinite(share) or not 0.0 <= share <= 1.0:
-                raise ValueError(f"services_share must be a fraction in [0, 1], got {share!r}")
-            object.__setattr__(self, "services_share", share)
+            set_field(self, name, rate)
+        sectors = tuple(sectors)
+        # attribute_value adds the sector values; a sum that overflows would
+        # surface as an infinite over-attribution instead of a named error.
+        if not math.isfinite(sum(s.value for s in sectors)):
+            raise ValueError("sector value sum overflows to infinity")
+        set_field(self, "sectors", sectors)
+        if services_share is not None:
+            services_share = float(services_share)
+            if not math.isfinite(services_share) or not 0.0 <= services_share <= 1.0:
+                raise ValueError(
+                    f"services_share must be a fraction in [0, 1], got {services_share!r}"
+                )
+        set_field(self, "services_share", services_share)
 
     def sector_total(self, category: str) -> float:
         # Start from 0.0: an empty category must still total a float.
         return sum((s.value for s in self.sectors if s.category == category), 0.0)
 
 
-@dataclass(frozen=True)
-class ValueAttribution:
+class ValueAttribution(Record):
     """Five-way partition of GDP; values in trillions, shares as fractions.
 
     The five values sum to gdp by construction (legacy is the residual);
     waste_value is identically zero.
     """
 
-    gdp: float
-    reverse_flow_value: float
-    dissipative_flow_value: float
-    stock_addition_value: float
-    waste_value: float
-    legacy_stock_value: float
-    reverse_flow_share: float
-    dissipative_flow_share: float
-    stock_addition_share: float
-    waste_share: float
-    legacy_stock_share: float
+    __slots__ = (
+        "gdp",
+        "reverse_flow_value",
+        "dissipative_flow_value",
+        "stock_addition_value",
+        "waste_value",
+        "legacy_stock_value",
+        "reverse_flow_share",
+        "dissipative_flow_share",
+        "stock_addition_share",
+        "waste_share",
+        "legacy_stock_share",
+    )
+
+    def __init__(
+        self,
+        gdp: float,
+        reverse_flow_value: float,
+        dissipative_flow_value: float,
+        stock_addition_value: float,
+        waste_value: float,
+        legacy_stock_value: float,
+        reverse_flow_share: float,
+        dissipative_flow_share: float,
+        stock_addition_share: float,
+        waste_share: float,
+        legacy_stock_share: float,
+    ) -> None:
+        set_field(self, "gdp", gdp)
+        set_field(self, "reverse_flow_value", reverse_flow_value)
+        set_field(self, "dissipative_flow_value", dissipative_flow_value)
+        set_field(self, "stock_addition_value", stock_addition_value)
+        set_field(self, "waste_value", waste_value)
+        set_field(self, "legacy_stock_value", legacy_stock_value)
+        set_field(self, "reverse_flow_share", reverse_flow_share)
+        set_field(self, "dissipative_flow_share", dissipative_flow_share)
+        set_field(self, "stock_addition_share", stock_addition_share)
+        set_field(self, "waste_share", waste_share)
+        set_field(self, "legacy_stock_share", legacy_stock_share)
 
     def values_by_category(self) -> dict[str, float]:
         return {
@@ -188,6 +227,8 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     """Partition GDP across flow categories and derive the legacy-stock residual.
 
     Raises:
+        CircuflowError: If the non-residual categories sum to more than a
+            float can hold.
         OverAttributionError: If the non-residual categories exceed GDP.
         UndefinedDenominatorError: If GDP is zero (shares undefined).
     """
@@ -199,6 +240,11 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     stock = stock_addition_value(economy)
     waste = 0.0  # unmanaged waste adds no value by definition
     attributed = reverse + dissipative + stock + waste
+    if not math.isfinite(attributed):
+        raise CircuflowError(
+            f"attributed value sum overflows to infinity (reverse flow {reverse:.6g} + "
+            f"dissipative flow {dissipative:.6g} + stock additions {stock:.6g} trillion)"
+        )
     excess = attributed - gdp
     if excess > _ATTRIBUTION_REL * max(gdp, 1.0):
         raise OverAttributionError(excess)

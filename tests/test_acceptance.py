@@ -9,7 +9,6 @@ the desk-scale reproduction of the analysis end to end.
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -146,7 +145,7 @@ def test_criterion_11_balance_residual_and_tolerance(account, monkeypatch, capsy
     assert outcome.status is ValidationStatus.PASS_WITH_WARNING
     assert outcome.residual == pytest.approx(3.0, abs=1e-9)
     assert round_half_away(outcome.residual_share * 100.0, 2) == 2.88
-    strict = validate(replace(account, balance_tolerance=0.02))
+    strict = validate(account.replace(balance_tolerance=0.02))
     assert strict.status is ValidationStatus.FAIL
     # same behaviour through the CLI's env override
     monkeypatch.setenv("CIRCUFLOW_TOLERANCE", "0.02")

@@ -145,6 +145,16 @@ class TestValidate:
         outcome = validate(reference_account(balance_tolerance=tolerance))
         assert text in outcome.checks[-1].message
 
+    def test_residual_share_rounds_half_away_from_zero(self):
+        # residual 0.125 Gt is 0.125% of 100 Gt: a tie at two places
+        account = reference_account(
+            total_input=100.0, energetic_input=40.0, structural_input=60.0,
+            recycled_input=9.0, emissions_output=45.0, waste_output=25.0,
+            net_stock_additions=29.875,
+        )
+        message = validate(account).checks[-1].message
+        assert "0.125 Gt (0.13% of total input)" in message
+
     def test_idempotent_and_pure(self, account):
         first = validate(account)
         second = validate(account)

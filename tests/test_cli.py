@@ -139,6 +139,26 @@ class TestHostileMagnitudes:
         assert main(["validate", path]) == 4
         assert "emissions + waste + net_stock_additions" in capsys.readouterr().err
 
+    def test_overflowing_sector_sum_is_a_parse_error(self, tmp_path, capsys):
+        economy = tmp_path / "ovf.economy"
+        economy.write_text(
+            "year = 2020\ngdp = 1.7e308\ngfcf_rate = 0.26\ncfc_rate = 0.13\n"
+            "sector = a, 1e308, reverse_flow\nsector = b, 1e308, reverse_flow\n"
+        )
+        assert main(["valuemap", ACCOUNT, str(economy)]) == 4
+        assert "sector value sum overflows to infinity" in capsys.readouterr().err
+
+    def test_overflowing_attributed_sum_is_a_computation_error(self, tmp_path, capsys):
+        economy = tmp_path / "ovf.economy"
+        economy.write_text(
+            "year = 2020\ngdp = 1.7e308\ngfcf_rate = 1\ncfc_rate = 0\n"
+            "sector = a, 1e308, reverse_flow\n"
+        )
+        assert main(["valuemap", ACCOUNT, str(economy)]) == 3
+        err = capsys.readouterr().err
+        assert "attributed value sum overflows to infinity" in err
+        assert "exceed GDP" not in err
+
     def test_overflowing_reverse_flow_scaling_is_a_computation_error(self, tmp_path, capsys):
         account = self._account(tmp_path, recycled_input=1e-308)
         scenario = tmp_path / "blowup.scenario"

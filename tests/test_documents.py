@@ -176,6 +176,13 @@ class TestConstructorErrors:
         with pytest.raises(DocumentError, match="energetic"):
             parse_account(text)
 
+    def test_overflowing_sector_sum_is_a_document_error(self):
+        text = ECONOMY_TEXT.replace("gdp = 86", "gdp = 1.7e308") + (
+            "sector = a, 1e308, reverse_flow\nsector = b, 1e308, dissipative_flow\n"
+        )
+        with pytest.raises(DocumentError, match="sector value sum overflows"):
+            parse_economy(text)
+
 
 class TestRoundTrip:
     def test_account(self, account):

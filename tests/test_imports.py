@@ -14,27 +14,37 @@ from pathlib import Path
 import pytest
 
 import circuflow
-from support import ACCOUNT_PATH
+from support import ACCOUNT_PATH, ECONOMY_PATH, FULL_RECOVERY_PATH
 
 SRC = str(Path(circuflow.__file__).resolve().parent.parent)
 
 HEAVY_STDLIB = ("xml", "urllib", "http", "email")
 
+# The record code generator and what it loads: records are plain classes.
+CODEGEN_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
-def _loaded_after(code: str) -> set[str]:
-    """Names of the modules a fresh interpreter gains by running ``code``."""
+
+def _modules_after(code: str) -> tuple[set[str], set[str]]:
+    """``sys.modules`` of a fresh interpreter before and after running ``code``."""
     script = (
         "import json, sys\n"
-        "before = set(sys.modules)\n"
+        "before = sorted(sys.modules)\n"
         f"{code}\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "print(json.dumps([before, sorted(sys.modules)]))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    return set(before), set(after)
+
+
+def _loaded_after(code: str) -> set[str]:
+    """Names of the modules a fresh interpreter gains by running ``code``."""
+    before, after = _modules_after(code)
+    return after - before
 
 
 def test_cli_import_loads_no_heavy_stdlib():
@@ -53,6 +63,33 @@ def test_validate_loads_no_metric_valuemap_or_scenario_code():
     )
     assert "circuflow.accounts" in loaded
     assert not loaded & {"circuflow.metrics", "circuflow.scenarios", "circuflow.valuemap"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", str(ACCOUNT_PATH)],
+        ["metrics", str(ACCOUNT_PATH)],
+        ["valuemap", str(ACCOUNT_PATH), str(ECONOMY_PATH), "--svg", "{svg}"],
+        ["scenario", str(ACCOUNT_PATH), str(ECONOMY_PATH), str(FULL_RECOVERY_PATH)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommands_load_no_code_generator(argv, tmp_path):
+    argv = [arg.format(svg=tmp_path / "chart.svg") for arg in argv]
+    _, loaded = _modules_after(
+        "import contextlib, io\n"
+        "from circuflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    assert sorted(loaded & CODEGEN_STDLIB) == []
+
+
+def test_record_modules_load_no_code_generator():
+    _, loaded = _modules_after("import circuflow.scenarios, circuflow.render")
+    assert "circuflow.record" in loaded
+    assert sorted(loaded & CODEGEN_STDLIB) == []
 
 
 def test_package_import_loads_no_submodule():

@@ -1,7 +1,5 @@
 """Unit tests for the circularity metric family."""
 
-from dataclasses import fields
-
 import pytest
 
 from circuflow import (
@@ -147,8 +145,8 @@ class TestMetricSuite:
             net_stock_additions=31,
         )
         report = metric_suite(account)
-        for item in fields(report):
-            assert type(getattr(report, item.name)) is float, item.name
+        for name in type(report).__slots__:
+            assert type(getattr(report, name)) is float, name
 
     def test_recycled_beyond_pool_is_a_domain_error(self):
         # recycled (20) exceeds the annually recoverable pool (64 - 55 = 9)

@@ -7,7 +7,6 @@ never by calling the code under test.
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -106,7 +105,7 @@ def test_exactly_balanced_accounts_pass_clean():
         leftover = float(account.total_input) - float(account.net_stock_additions)
         split = rng.uniform(0.0, 1.0)
         emissions = split * leftover
-        balanced = replace(account, emissions_output=emissions, waste_output=leftover - emissions)
+        balanced = account.replace(emissions_output=emissions, waste_output=leftover - emissions)
         outcome = validate(balanced)
         assert outcome.status is ValidationStatus.PASS
         assert abs(outcome.residual) <= 1e-12 * float(balanced.total_input)
@@ -233,7 +232,7 @@ def test_real_rate_hits_one_exactly_at_full_recovery():
     for _ in range(N):
         account = random_valid_account(rng)
         pool = float(account.structural_input) - float(account.net_stock_additions)
-        saturated = replace(account, recycled_input=pool)
+        saturated = account.replace(recycled_input=pool)
         assert metric_suite(saturated).real_rate == 1.0
 
 
@@ -363,8 +362,8 @@ def test_machine_output_prints_every_value_as_a_float_repr():
         economy = random_economy(rng)
         if index % 2:
             keep = rng.choice(("reverse_flow", "dissipative_flow"))
-            economy = replace(
-                economy, sectors=tuple(s for s in economy.sectors if s.category == keep)
+            economy = economy.replace(
+                sectors=tuple(s for s in economy.sectors if s.category == keep)
             )
         categories = {s.category for s in economy.sectors}
         empty_categories += len(categories) < 2

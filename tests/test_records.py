@@ -1,0 +1,138 @@
+"""The contract every record type keeps: value equality, repr, immutability, replace."""
+
+import copy
+import pickle
+
+import pytest
+
+from circuflow import (
+    DivertWasteToStock,
+    ReplaceEnergeticWithStock,
+    ScaleReverseFlowValue,
+    Scenario,
+    SetRecoveryRate,
+    apply_scenario,
+    attribute_value,
+    metric_suite,
+    validate,
+)
+from circuflow.documents import parse_account, parse_economy, parse_scenario
+from circuflow.render import RenderSpec
+from support import ACCOUNT_PATH, ECONOMY_PATH, FULL_RECOVERY_PATH
+
+ACCOUNT = parse_account(ACCOUNT_PATH.read_text())
+ECONOMY = parse_economy(ECONOMY_PATH.read_text())
+SCENARIO = parse_scenario(FULL_RECOVERY_PATH.read_text())
+OUTCOME = validate(ACCOUNT)
+
+# One instance of each of the 14 public record types.
+RECORDS = [
+    ACCOUNT,
+    OUTCOME.checks[0],
+    OUTCOME,
+    metric_suite(ACCOUNT),
+    RenderSpec(format="markdown", rounding=2),
+    SetRecoveryRate(0.5),
+    DivertWasteToStock(0.25),
+    ReplaceEnergeticWithStock(0.1),
+    ScaleReverseFlowValue(False),
+    SCENARIO,
+    apply_scenario(ACCOUNT, ECONOMY, SCENARIO),
+    ECONOMY.sectors[0],
+    ECONOMY,
+    attribute_value(ECONOMY),
+]
+
+by_class = pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+
+
+def _fields(record) -> dict:
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
+def test_every_record_type_is_covered():
+    assert len({type(record) for record in RECORDS}) == 14
+
+
+@by_class
+def test_equal_fields_give_equal_records_and_hashes(record):
+    twin = type(record)(**_fields(record))
+    assert twin is not record
+    assert twin == record
+    assert not twin != record
+    assert hash(twin) == hash(record)
+
+
+@by_class
+def test_never_equal_to_another_class(record):
+    for other in RECORDS:
+        if type(other) is not type(record):
+            assert record != other
+            assert other != record
+    assert record != tuple(_fields(record).values())
+
+
+@by_class
+def test_repr_lists_fields_in_slot_order(record):
+    fields = ", ".join(f"{name}={value!r}" for name, value in _fields(record).items())
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+def test_repr_text():
+    assert repr(SetRecoveryRate(0.5)) == "SetRecoveryRate(fraction=0.5)"
+    assert repr(Scenario("s", (ScaleReverseFlowValue(),))) == (
+        "Scenario(name='s', steps=(ScaleReverseFlowValue(enabled=True),))"
+    )
+
+
+@by_class
+def test_assignment_and_deletion_raise(record):
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    assert record == type(record)(**_fields(record))
+
+
+@by_class
+def test_replace_changes_one_field_and_keeps_the_rest(record):
+    name = type(record).__slots__[-1]
+    value = getattr(record, name)
+    assert record.replace() == record
+    assert record.replace(**{name: value}) == record
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1)
+
+
+def test_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError) as direct:
+        type(ACCOUNT)(**{**_fields(ACCOUNT), "waste_output": -1.0})
+    with pytest.raises(ValueError) as replaced:
+        ACCOUNT.replace(waste_output=-1.0)
+    assert str(replaced.value) == str(direct.value)
+    assert ACCOUNT.replace(waste_output=20).waste_output == 20.0
+    assert type(ACCOUNT.replace(waste_output=20).waste_output) is float
+
+
+@by_class
+@pytest.mark.parametrize("pattern", ["cls({name}=value)", "cls(value)"])
+def test_class_pattern_matches(record, pattern):
+    cls, name = type(record), type(record).__slots__[0]
+    namespace = {"record": record, "cls": cls}
+    exec(
+        f"match record:\n"
+        f"    case {pattern.format(name=name)}:\n"
+        f"        matched = value\n",
+        namespace,
+    )
+    assert namespace["matched"] is getattr(record, name)
+
+
+@by_class
+def test_pickle_and_copy_round_trip(record):
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record

@@ -1,10 +1,9 @@
 """Unit tests for GDP value attribution."""
 
-from dataclasses import fields
-
 import pytest
 
 from circuflow import (
+    CircuflowError,
     EconomicAccount,
     OverAttributionError,
     SectorValue,
@@ -58,10 +57,18 @@ class TestRecords:
         attribution = attribute_value(economy)
         records = (economy.sectors[0], economy, attribution)
         for record in records:
-            for item in fields(record):
-                value = getattr(record, item.name)
-                if item.name not in ("name", "category", "year", "sectors"):
-                    assert type(value) is float, (type(record).__name__, item.name)
+            for name in type(record).__slots__:
+                value = getattr(record, name)
+                if name not in ("name", "category", "year", "sectors"):
+                    assert type(value) is float, (type(record).__name__, name)
+
+    def test_overflowing_sector_sum_rejected(self):
+        sectors = (
+            SectorValue("a", 1e308, "reverse_flow"),
+            SectorValue("b", 1e308, "dissipative_flow"),
+        )
+        with pytest.raises(ValueError, match="sector value sum overflows to infinity"):
+            reference_economy(gdp=1.7e308, sectors=sectors)
 
     def test_services_share_is_stored_context(self, economy):
         assert economy.services_share == 0.65
@@ -137,6 +144,16 @@ class TestAttributeValue:
     def test_zero_gdp_is_undefined(self):
         with pytest.raises(UndefinedDenominatorError, match="gdp"):
             attribute_value(reference_economy(gdp=0.0, sectors=()))
+
+    def test_overflowing_attributed_sum_is_named(self):
+        # sectors alone fit; adding the stock-addition value (all of GDP) overflows
+        economy = reference_economy(
+            gdp=1.7e308, gfcf_rate=1.0, cfc_rate=0.0,
+            sectors=(SectorValue("a", 1e308, "reverse_flow"),),
+        )
+        with pytest.raises(CircuflowError, match="attributed value sum overflows") as info:
+            attribute_value(economy)
+        assert not isinstance(info.value, OverAttributionError)
 
 
 class TestReverseFlowShare:
