@@ -13,14 +13,14 @@ import argparse
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 from . import documents
 from .accounts import MaterialFlowAccount, validate, waste_share
-from .errors import CircuflowError, DocumentError, ScenarioError
+from .errors import CircuflowError, DocumentError
 from .render import (
-    FORMAT_MACHINE,
-    FORMAT_MARKDOWN,
     FORMAT_PLAIN,
+    FORMATS,
     RenderSpec,
     render_metrics,
     render_scenario_comparison,
@@ -29,6 +29,9 @@ from .render import (
     svg_metrics,
     svg_valuemap,
 )
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 # metrics, valuemap and scenarios are imported inside the subcommands that
 # use them, so each call loads only the modules its subcommand runs.
@@ -46,16 +49,7 @@ class _CliFailure(Exception):
 
     def __init__(self, code: int, message: str) -> None:
         self.code = code
-        self.message = message
         super().__init__(message)
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _default_tolerance() -> float | None:
@@ -75,23 +69,18 @@ def _default_tolerance() -> float | None:
     return value
 
 
-def _load_account(path: str) -> MaterialFlowAccount:
+def _load(parse: Callable[..., object], path: str, **options: Callable[[], object]):
+    """Read ``path`` and parse it; each option is a function giving one keyword of ``parse``.
+
+    Options are called after the read: an unreadable file beats a bad CIRCUFLOW_TOLERANCE.
+    """
     try:
-        return documents.parse_account(_read(path), default_tolerance=_default_tolerance())
-    except DocumentError as exc:
-        raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
-
-
-def _load_economy(path: str):
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return documents.parse_economy(_read(path))
-    except DocumentError as exc:
-        raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
-
-
-def _load_scenario(path: str):
-    try:
-        return documents.parse_scenario(_read(path))
+        return parse(text, **{name: get() for name, get in options.items()})
     except DocumentError as exc:
         raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
 
@@ -123,7 +112,7 @@ def _write_svg(path: str, content: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    account = _load_account(args.account)
+    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
     outcome = validate(account)
     sys.stdout.write(render_validation(outcome))
     return EXIT_OK if outcome.ok else EXIT_VALIDATION
@@ -132,7 +121,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import metric_suite
 
-    account = _load_account(args.account)
+    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
     _require_valid(args.account, account)
     spec = _render_spec(args)
     report = metric_suite(account)
@@ -145,8 +134,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_valuemap(args: argparse.Namespace) -> int:
     from .valuemap import attribute_value
 
-    account = _load_account(args.account)
-    economy = _load_economy(args.economy)
+    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
+    economy = _load(documents.parse_economy, args.economy)
     _require_valid(args.account, account)
     if economy.year != account.year:
         warnings.warn(
@@ -171,9 +160,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from .scenarios import apply_scenario
     from .valuemap import attribute_value
 
-    account = _load_account(args.account)
-    economy = _load_economy(args.economy)
-    scenario = _load_scenario(args.scenario)
+    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
+    economy = _load(documents.parse_economy, args.economy)
+    scenario = _load(documents.parse_scenario, args.scenario)
     _require_valid(args.account, account)
     spec = _render_spec(args)
     baseline_report = metric_suite(account)
@@ -198,7 +187,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _add_render_options(parser: argparse.ArgumentParser, *, svg: bool) -> None:
     parser.add_argument(
         "--format",
-        choices=(FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE),
+        choices=FORMATS,
         default=FORMAT_PLAIN,
         help="output format (default: plain)",
     )
@@ -268,14 +257,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"warning: {message}", file=sys.stderr)
         return code
     except _CliFailure as failure:
-        print(f"error: {failure.message}", file=sys.stderr)
+        print(f"error: {failure}", file=sys.stderr)
         return failure.code
-    except (DocumentError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
     except CircuflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

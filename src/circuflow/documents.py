@@ -1,6 +1,6 @@
 """Flat key-value documents for accounts, economies and scenarios.
 
-One shared grammar, three schemas:
+One shared grammar, one schema table per document kind:
 
     key = value          # one pair per line; '#' starts a comment
     sector = name, 1.2, reverse_flow      (economy: repeatable)
@@ -11,7 +11,9 @@ parse error names the offending line and field.  Rendering emits the same
 grammar with shortest-round-trip floats, so parse(render(x)) == x.
 
 Masses may be tagged t/kt/Mt/Gt via the ``unit`` key and are converted to
-gigatonnes on load.  See docs/file-formats.md for the published schemas.
+gigatonnes on load.  docs/file-formats.md publishes the schema tables (a
+test checks them against the ones here) and the order in which faults are
+reported.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from .accounts import (
     CANONICAL_MASS_UNIT,
-    DEFAULT_BALANCE_TOLERANCE,
     GT_PER_UNIT,
     MASS_FIELDS,
     MaterialFlowAccount,
@@ -31,34 +32,97 @@ from .accounts import (
 from .errors import DocumentError, ProvenanceWarning
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
     from types import ModuleType
+    from typing import Any
 
+    from .record import Record
     from .scenarios import Scenario, Transformation
     from .valuemap import EconomicAccount, SectorValue
 
-# The economy and scenario schemas import their record modules inside the
-# document-level functions, once per document, so that reading an account
-# alone (the validate and metrics subcommands) loads neither module.
+    #: key -> (type as written in the docs, required, value parser).  A
+    #: ``repeated`` row has no parser: its entries go back to the caller.
+    Schema = dict[str, tuple[str, bool, Callable[[str, str], Any] | None]]
 
-ACCOUNT_REQUIRED_KEYS = ("year",) + MASS_FIELDS
-ACCOUNT_OPTIONAL_KEYS = ("unit", "balance_tolerance")
-
-ECONOMY_REQUIRED_KEYS = ("year", "gdp", "gfcf_rate")
-ECONOMY_OPTIONAL_KEYS = ("cfc_rate", "services_share")
+# parse_economy and parse_scenario import their record modules once per
+# document, so that reading an account alone (the validate and metrics
+# subcommands) loads neither module.
 
 
-class _Entry:
-    """One ``key = value`` line of a document."""
-
-    __slots__ = ("line", "key", "value")
-
-    def __init__(self, line: int, key: str, value: str) -> None:
-        self.line = line
-        self.key = key
-        self.value = value
+def _parse_text(text: str, key: str) -> str:
+    return text
 
 
-def _parse_entries(text: str) -> list[_Entry]:
+def _parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _parse_float(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+
+
+def _parse_fraction(text: str, key: str) -> float:
+    value = _parse_float(text, key)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must be a fraction in [0, 1], got {value!r}")
+    return value
+
+
+def _parse_mass(text: str, key: str) -> float:
+    # Judged as written: converting to Gt scales by a factor in (0, 1], which
+    # keeps a finite non-negative mass finite and non-negative.
+    return check_mass(_parse_float(text, key))
+
+
+def _parse_money(text: str, key: str) -> float:
+    value = _parse_float(text, key)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{key} must be non-negative and finite, got {value!r}")
+    return value
+
+
+def _parse_unit(text: str, key: str) -> str:
+    if text not in GT_PER_UNIT:
+        known = ", ".join(sorted(GT_PER_UNIT))
+        raise ValueError(f"unknown mass unit {text!r} (expected one of: {known})")
+    return text
+
+
+ACCOUNT_SCHEMA: Schema = {
+    "year": ("integer", True, _parse_int),
+    "unit": ("tag", False, _parse_unit),
+    **{name: ("mass ≥ 0", True, _parse_mass) for name in MASS_FIELDS},
+    "balance_tolerance": ("fraction", False, _parse_fraction),
+}
+
+ECONOMY_SCHEMA: Schema = {
+    "year": ("integer", True, _parse_int),
+    "gdp": ("money ≥ 0", True, _parse_money),
+    "gfcf_rate": ("fraction", True, _parse_fraction),
+    "cfc_rate": ("fraction", False, _parse_fraction),
+    "services_share": ("fraction", False, _parse_fraction),
+    "sector": ("repeated", False, None),
+}
+
+SCENARIO_SCHEMA: Schema = {
+    "name": ("string", True, _parse_text),
+    "step": ("repeated", False, None),
+}
+
+
+def _read(text: str, schema: Schema) -> dict[str, Any]:
+    """Check ``text`` against ``schema`` and parse its scalar values.
+
+    Returns the parsed value of each key present; a repeated key maps to its
+    ``(line, text)`` entries in line order.  Faults are raised in the order
+    docs/file-formats.md states.
+    """
     # A leading byte-order mark is encoding residue, not part of the first key.
     if text.startswith("\ufeff"):
         text = text[1:]
@@ -76,65 +140,64 @@ def _parse_entries(text: str) -> list[_Entry]:
             raise DocumentError("missing key before '='", line=line_no)
         if not value:
             raise DocumentError("missing value after '='", line=line_no, field=key)
-        entries.append(_Entry(line_no, key, value))
-    return entries
+        entries.append((line_no, key, value))
 
-
-def _split_scalars(
-    entries: list[_Entry],
-    *,
-    scalar_keys: tuple[str, ...],
-    repeated_key: str | None = None,
-) -> tuple[dict[str, _Entry], list[_Entry]]:
-    scalars: dict[str, _Entry] = {}
-    repeated: list[_Entry] = []
-    for entry in entries:
-        if repeated_key is not None and entry.key == repeated_key:
-            repeated.append(entry)
-        elif entry.key in scalar_keys:
-            if entry.key in scalars:
-                raise DocumentError(
-                    f"duplicate key (first seen on line {scalars[entry.key].line})",
-                    line=entry.line,
-                    field=entry.key,
-                )
-            scalars[entry.key] = entry
+    found: dict[str, Any] = {}
+    for line_no, key, value in entries:
+        row = schema.get(key)
+        if row is None:
+            raise DocumentError("unknown key", line=line_no, field=key)
+        if row[0] == "repeated":
+            found.setdefault(key, []).append((line_no, value))
+        elif key in found:
+            raise DocumentError(
+                f"duplicate key (first seen on line {found[key][0]})", line=line_no, field=key
+            )
         else:
-            raise DocumentError("unknown key", line=entry.line, field=entry.key)
-    return scalars, repeated
+            found[key] = (line_no, value)
 
-
-def _require(scalars: dict[str, _Entry], keys: tuple[str, ...]) -> None:
-    for key in keys:
-        if key not in scalars:
+    for key, (_, required, _) in schema.items():
+        if required and key not in found:
             raise DocumentError("missing required field", field=key)
+    for key, (_, _, parse) in schema.items():
+        if parse is not None and key in found:
+            line_no, value = found[key]
+            try:
+                found[key] = parse(value, key)
+            except ValueError as exc:
+                raise DocumentError(str(exc), line=line_no, field=key) from None
+    return found
 
 
-def _parse_float(entry: _Entry) -> float:
-    try:
-        return float(entry.value)
-    except ValueError:
-        raise DocumentError(
-            f"not a number: {entry.value!r}", line=entry.line, field=entry.key
-        ) from None
+def _parse_each(entries: list, key: str, shape: str, parse: Callable, module: ModuleType):
+    """Parse the ``(line, text)`` entries of ``key = <shape>`` with ``parse(module, *fields)``."""
+    parsed = []
+    for line, text in entries:
+        fields = [field.strip() for field in text.split(",")]
+        try:
+            if len(fields) != shape.count(",") + 1:
+                raise ValueError(f"expected '{key} = {shape}'")
+            parsed.append(parse(module, *fields))
+        except ValueError as exc:
+            raise DocumentError(str(exc), line=line, field=key) from None
+    return tuple(parsed)
 
 
-def _parse_int(entry: _Entry) -> int:
-    try:
-        return int(entry.value)
-    except ValueError:
-        raise DocumentError(
-            f"not an integer: {entry.value!r}", line=entry.line, field=entry.key
-        ) from None
+def _write(schema: Schema, record: Record, entries: Iterable[str] = (), **given: object) -> str:
+    """Emit one line per row in table order, ``entries`` at the repeated row.
 
-
-def _parse_fraction(entry: _Entry) -> float:
-    value = _parse_float(entry)
-    if not 0.0 <= value <= 1.0:
-        raise DocumentError(
-            f"must be a fraction in [0, 1], got {value!r}", line=entry.line, field=entry.key
-        )
-    return value
+    A value is ``given[key]`` or else the record's field, left out when ``None``
+    (``str`` of a float is its shortest round-trip ``repr``).
+    """
+    lines = []
+    for key, (kind, _, _) in schema.items():
+        if kind == "repeated":
+            lines += [f"{key} = {entry}" for entry in entries]
+            continue
+        value = given[key] if key in given else getattr(record, key)
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_account(text: str, *, default_tolerance: float | None = None) -> MaterialFlowAccount:
@@ -143,67 +206,25 @@ def parse_account(text: str, *, default_tolerance: float | None = None) -> Mater
     ``default_tolerance`` applies only when the document carries no
     ``balance_tolerance`` key (``None`` means the library default).
     """
-    scalars, _ = _split_scalars(
-        _parse_entries(text), scalar_keys=ACCOUNT_REQUIRED_KEYS + ACCOUNT_OPTIONAL_KEYS
-    )
-    _require(scalars, ACCOUNT_REQUIRED_KEYS)
-
-    unit = CANONICAL_MASS_UNIT
-    if "unit" in scalars:
-        entry = scalars["unit"]
-        if entry.value not in GT_PER_UNIT:
-            known = ", ".join(sorted(GT_PER_UNIT))
-            raise DocumentError(
-                f"unknown mass unit {entry.value!r} (expected one of: {known})",
-                line=entry.line,
-                field="unit",
-            )
-        unit = entry.value
-
-    factor = GT_PER_UNIT[unit]
-    masses = {}
+    values = _read(text, ACCOUNT_SCHEMA)
+    factor = GT_PER_UNIT[values.pop("unit", CANONICAL_MASS_UNIT)]
     for name in MASS_FIELDS:
-        entry = scalars[name]
-        value = _parse_float(entry)
-        try:
-            masses[name] = check_mass(value * factor)
-        except ValueError as exc:
-            raise DocumentError(str(exc), line=entry.line, field=name) from None
-
-    if "balance_tolerance" in scalars:
-        tolerance = _parse_fraction(scalars["balance_tolerance"])
-    elif default_tolerance is not None:
-        tolerance = float(default_tolerance)
-    else:
-        tolerance = DEFAULT_BALANCE_TOLERANCE
-
-    year = _parse_int(scalars["year"])
+        values[name] *= factor
+    if "balance_tolerance" not in values and default_tolerance is not None:
+        values["balance_tolerance"] = default_tolerance
     try:
-        return MaterialFlowAccount(year=year, balance_tolerance=tolerance, **masses)
+        return MaterialFlowAccount(**values)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
 
 def render_account(account: MaterialFlowAccount) -> str:
     """Emit the canonical (Gt) document for an account."""
-    lines = [f"year = {account.year}", f"unit = {CANONICAL_MASS_UNIT}"]
-    lines += [f"{name} = {getattr(account, name)!r}" for name in MASS_FIELDS]
-    lines.append(f"balance_tolerance = {account.balance_tolerance!r}")
-    return "\n".join(lines) + "\n"
+    return _write(ACCOUNT_SCHEMA, account, unit=CANONICAL_MASS_UNIT)
 
 
-def _parse_sector(entry: _Entry, valuemap: ModuleType) -> SectorValue:
-    parts = [part.strip() for part in entry.value.split(",")]
-    if len(parts) != 3:
-        raise DocumentError(
-            "expected 'sector = name, value, category'", line=entry.line, field="sector"
-        )
-    name, value_text, category = parts
-    value = _parse_float(_Entry(entry.line, entry.key, value_text))
-    try:
-        return valuemap.SectorValue(name=name, value=value, category=category)
-    except ValueError as exc:
-        raise DocumentError(str(exc), line=entry.line, field="sector") from None
+def _parse_sector(valuemap: ModuleType, name: str, value: str, category: str) -> SectorValue:
+    return valuemap.SectorValue(name, _parse_float(value, "sector"), category)
 
 
 def parse_economy(text: str) -> EconomicAccount:
@@ -214,112 +235,58 @@ def parse_economy(text: str) -> EconomicAccount:
     """
     from . import valuemap
 
-    scalars, sector_entries = _split_scalars(
-        _parse_entries(text),
-        scalar_keys=ECONOMY_REQUIRED_KEYS + ECONOMY_OPTIONAL_KEYS,
-        repeated_key="sector",
-    )
-    _require(scalars, ECONOMY_REQUIRED_KEYS)
-
-    gdp = _parse_float(scalars["gdp"])
-    if not math.isfinite(gdp) or gdp < 0:
-        raise DocumentError(
-            f"gdp must be non-negative and finite, got {gdp!r}",
-            line=scalars["gdp"].line,
-            field="gdp",
-        )
-
-    if "cfc_rate" in scalars:
-        cfc_rate = _parse_fraction(scalars["cfc_rate"])
-    else:
-        cfc_rate = valuemap.DEFAULT_CFC_RATE
+    values = _read(text, ECONOMY_SCHEMA)
+    if "cfc_rate" not in values:  # EconomicAccount's default
         warnings.warn(
-            f"cfc_rate missing; defaulting to {cfc_rate} "
+            f"cfc_rate missing; defaulting to {valuemap.DEFAULT_CFC_RATE} "
             "(global-average estimate, no single published value)",
             ProvenanceWarning,
             stacklevel=2,
         )
-
-    services_share = (
-        _parse_fraction(scalars["services_share"]) if "services_share" in scalars else None
+    values["sectors"] = _parse_each(
+        values.pop("sector", []), "sector", "name, value, category", _parse_sector, valuemap
     )
-
-    year = _parse_int(scalars["year"])
-    gfcf_rate = _parse_fraction(scalars["gfcf_rate"])
-    sectors = tuple(_parse_sector(entry, valuemap) for entry in sector_entries)
     try:
-        return valuemap.EconomicAccount(
-            year=year,
-            gdp=gdp,
-            gfcf_rate=gfcf_rate,
-            cfc_rate=cfc_rate,
-            sectors=sectors,
-            services_share=services_share,
-        )
+        return valuemap.EconomicAccount(**values)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
 
 def render_economy(economy: EconomicAccount) -> str:
-    lines = [
-        f"year = {economy.year}",
-        f"gdp = {economy.gdp!r}",
-        f"gfcf_rate = {economy.gfcf_rate!r}",
-        f"cfc_rate = {economy.cfc_rate!r}",
-    ]
-    if economy.services_share is not None:
-        lines.append(f"services_share = {economy.services_share!r}")
-    for sector in economy.sectors:
-        lines.append(f"sector = {sector.name}, {sector.value!r}, {sector.category}")
-    return "\n".join(lines) + "\n"
+    return _write(
+        ECONOMY_SCHEMA,
+        economy,
+        [f"{sector.name}, {sector.value!r}, {sector.category}" for sector in economy.sectors],
+    )
 
 
-def _parse_step(entry: _Entry, scenarios: ModuleType) -> Transformation:
-    parts = [part.strip() for part in entry.value.split(",")]
-    if len(parts) != 2:
-        raise DocumentError(
-            "expected 'step = op, parameter'", line=entry.line, field="step"
-        )
-    op, parameter = parts
+def _parse_step(scenarios: ModuleType, op: str, parameter: str) -> Transformation:
     cls = scenarios.STEP_OPS.get(op)
     if cls is None:
         known = ", ".join(sorted(scenarios.STEP_OPS))
-        raise DocumentError(
-            f"unknown op {op!r} (expected one of: {known})", line=entry.line, field="step"
-        )
+        raise ValueError(f"unknown op {op!r} (expected one of: {known})")
     if cls is scenarios.ScaleReverseFlowValue:
         if parameter not in ("on", "off"):
-            raise DocumentError(
-                f"expected 'on' or 'off', got {parameter!r}", line=entry.line, field="step"
-            )
+            raise ValueError(f"expected 'on' or 'off', got {parameter!r}")
         return cls(enabled=parameter == "on")
-    fraction = _parse_float(_Entry(entry.line, entry.key, parameter))
-    try:
-        return cls(fraction=fraction)
-    except ValueError as exc:
-        raise DocumentError(str(exc), line=entry.line, field="step") from None
+    return cls(fraction=_parse_float(parameter, "step"))
 
 
 def parse_scenario(text: str) -> Scenario:
     from . import scenarios
 
-    scalars, step_entries = _split_scalars(
-        _parse_entries(text), scalar_keys=("name",), repeated_key="step"
-    )
-    _require(scalars, ("name",))
-    return scenarios.Scenario(
-        name=scalars["name"].value,
-        steps=tuple(_parse_step(entry, scenarios) for entry in step_entries),
-    )
+    values = _read(text, SCENARIO_SCHEMA)
+    steps = _parse_each(values.get("step", []), "step", "op, parameter", _parse_step, scenarios)
+    return scenarios.Scenario(name=values["name"], steps=steps)
 
 
 def render_scenario(scenario: Scenario) -> str:
     from . import scenarios
 
-    lines = [f"name = {scenario.name}"]
-    for step in scenario.steps:
-        if isinstance(step, scenarios.ScaleReverseFlowValue):
-            lines.append(f"step = scale_reverse_flow_value, {'on' if step.enabled else 'off'}")
-        else:
-            lines.append(f"step = {scenarios.OP_NAMES[type(step)]}, {step.fraction!r}")
-    return "\n".join(lines) + "\n"
+    steps = [
+        f"scale_reverse_flow_value, {'on' if step.enabled else 'off'}"
+        if isinstance(step, scenarios.ScaleReverseFlowValue)
+        else f"{scenarios.OP_NAMES[type(step)]}, {step.fraction!r}"
+        for step in scenario.steps
+    ]
+    return _write(SCENARIO_SCHEMA, scenario, steps)

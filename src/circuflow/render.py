@@ -3,9 +3,10 @@
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
 other number is an exact quotient.  Machine format emits shortest-round-trip
-floats, so identical inputs give byte-identical output.  SVG charts are
-emitted from small string templates on purpose: the tool stays
-dependency-free.
+floats, so identical inputs give byte-identical output.  SVG charts come
+only from ``svg_metrics`` and ``svg_valuemap`` (SVG is not a ``RenderSpec``
+format) and are emitted from small string templates on purpose: the tool
+stays dependency-free.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ if TYPE_CHECKING:
 FORMAT_PLAIN = "plain"
 FORMAT_MARKDOWN = "markdown"
 FORMAT_MACHINE = "machine"
-FORMAT_SVG = "svg"
-FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE, FORMAT_SVG)
+FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE)
 
 _METRIC_LABELS = (
     ("apparent", "apparent"),
@@ -169,8 +169,6 @@ def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) ->
                 ),
             ]
         )
-    if spec.format == FORMAT_SVG:
-        return svg_metrics(report, spec)
     rows = _metric_rows(report, spec.rounding)
     headers = ("metric", "rate", "denominator")
     table = (
@@ -218,8 +216,6 @@ def render_valuemap(
         if services_share is not None:
             pairs.append(("services_share", services_share))
         return _machine_lines(pairs)
-    if spec.format == FORMAT_SVG:
-        return svg_valuemap(attribution, spec)
 
     places = spec.rounding
     values = attribution.values_by_category()

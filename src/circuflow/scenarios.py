@@ -95,6 +95,8 @@ class ScaleReverseFlowValue(Record):
     __slots__ = ("enabled",)
 
     def __init__(self, enabled: bool = True) -> None:
+        if not isinstance(enabled, bool):
+            raise ValueError(f"enabled must be a bool, got {enabled!r}")
         set_field(self, "enabled", enabled)
 
 
@@ -119,8 +121,13 @@ class Scenario(Record):
 
     def __init__(self, name: str, steps: tuple[Transformation, ...] = ()) -> None:
         check_name(name, "scenario")
+        steps = tuple(steps)
+        for step in steps:
+            if type(step) not in OP_NAMES:
+                known = ", ".join(cls.__name__ for cls in OP_NAMES)
+                raise ValueError(f"scenario step must be one of {known}, got {step!r}")
         set_field(self, "name", name)
-        set_field(self, "steps", tuple(steps))
+        set_field(self, "steps", steps)
 
 
 class ScenarioResult(Record):

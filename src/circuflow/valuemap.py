@@ -110,6 +110,9 @@ class EconomicAccount(Record):
                 raise ValueError(f"{name} must be a fraction in [0, 1], got {rate!r}")
             set_field(self, name, rate)
         sectors = tuple(sectors)
+        for sector in sectors:
+            if not isinstance(sector, SectorValue):
+                raise ValueError(f"sectors must hold SectorValue records, got {sector!r}")
         # attribute_value adds the sector values; a sum that overflows would
         # surface as an infinite over-attribution instead of a named error.
         if not math.isfinite(sum(s.value for s in sectors)):

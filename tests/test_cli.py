@@ -74,6 +74,15 @@ class TestValidateCommand:
         assert main(["validate", ACCOUNT]) == 4
         assert "CIRCUFLOW_TOLERANCE" in capsys.readouterr().err
 
+    def test_unreadable_file_is_reported_before_a_bad_env_value(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CIRCUFLOW_TOLERANCE", "lots")
+        assert main(["validate", str(tmp_path / "missing.account")]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert "CIRCUFLOW_TOLERANCE" not in err
+
     def test_utf8_bom_is_accepted(self, tmp_path, capsys):
         assert main(["validate", ACCOUNT]) == 0
         expected = capsys.readouterr().out

@@ -10,7 +10,11 @@ from circuflow import (
     Scenario,
     SetRecoveryRate,
 )
+from circuflow.accounts import MASS_FIELDS
 from circuflow.documents import (
+    ACCOUNT_SCHEMA,
+    ECONOMY_SCHEMA,
+    SCENARIO_SCHEMA,
     parse_account,
     parse_economy,
     parse_scenario,
@@ -22,6 +26,7 @@ from support import (
     ACCOUNT_PATH,
     ECONOMY_PATH,
     FULL_RECOVERY_PATH,
+    REPO_ROOT,
     WASTE_DIVERSION_PATH,
     reference_account,
     reference_economy,
@@ -213,3 +218,60 @@ class TestRoundTrip:
             ),
         )
         assert parse_scenario(render_scenario(scenario)) == scenario
+
+
+def _docs_table_columns():
+    """The key, type and required cells of each table in docs/file-formats.md."""
+    tables = []
+    rows = None
+    for line in (REPO_ROOT / "docs" / "file-formats.md").read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if rows is None:  # the header row opens a table
+            rows = []
+            tables.append(rows)
+        elif set(cells[0]) - set("-: "):  # skip the |---| rule
+            rows.append((cells[0].strip("`"), cells[1], cells[2]))
+    return tables
+
+
+def test_docs_tables_match_the_schemas():
+    assert _docs_table_columns() == [
+        [(key, kind, "yes" if required else "no") for key, (kind, required, _) in schema.items()]
+        for schema in (ACCOUNT_SCHEMA, ECONOMY_SCHEMA, SCENARIO_SCHEMA)
+    ]
+
+
+def test_several_faults_report_the_first_in_the_documented_order():
+    """docs/file-formats.md: grammar, keys, missing keys, values, then across values."""
+
+    def fault(parse, lines):
+        with pytest.raises(DocumentError) as info:
+            parse("\n".join(lines) + "\n")
+        return info.value.line, info.value.field, str(info.value)
+
+    overflowing = [f"{name} = 1e308" for name in MASS_FIELDS]
+    lines = ["balance_tolerance = 2", "year = 20x0", "bogus = 1", "year = 2021", "just words"]
+    assert fault(parse_account, lines)[0] == 5
+    assert fault(parse_account, lines[:4])[:2] == (3, "bogus")
+    assert fault(parse_account, lines[:2] + lines[3:4])[:2] == (3, "year")
+    assert fault(parse_account, lines[:2])[:2] == (None, "total_input")
+    assert fault(parse_account, lines[:2] + overflowing)[:2] == (2, "year")
+    assert fault(parse_account, lines[:1] + overflowing + ["year = 2020"])[:2] == (
+        1,
+        "balance_tolerance",
+    )
+    line, field, message = fault(parse_account, overflowing + ["year = 2020"])
+    assert (line, field) == (None, None) and "overflows to infinity" in message
+
+    economy = [
+        "sector = x, -1, reverse_flow",
+        "year = 2020",
+        "gdp = -86",
+        "gfcf_rate = 0.26",
+        "cfc_rate = 0.13",
+    ]
+    assert fault(parse_economy, economy)[:2] == (3, "gdp")
+    assert fault(parse_economy, economy[:2] + ["gdp = 86"] + economy[3:])[:2] == (1, "sector")

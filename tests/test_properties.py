@@ -260,8 +260,12 @@ def test_documents_round_trip_randomized():
     )
     for index in range(N):
         account = random_valid_account(rng)
+        if rng.random() < 0.5:
+            account = account.replace(balance_tolerance=rng.random())
         assert parse_account(render_account(account)) == account
         economy = random_economy(rng)
+        if rng.random() < 0.5:
+            economy = economy.replace(services_share=rng.random())
         assert parse_economy(render_economy(economy)) == economy
         scenario = Scenario(
             name=f"scenario_{index}",

@@ -143,11 +143,10 @@ class TestRenderValuemap:
         text = render_valuemap(attribute_value(economy), RenderSpec(format="machine"))
         assert "legacy_stock_value = 58.620000000000005" in text
 
-    def test_svg_format_dispatches_to_chart(self, account, economy):
-        assert render_metrics(metric_suite(account), RenderSpec(format="svg")).startswith("<svg")
-        assert render_valuemap(attribute_value(economy), RenderSpec(format="svg")).startswith(
-            "<svg"
-        )
+    def test_svg_is_not_a_render_format(self):
+        # SVG comes only from svg_metrics / svg_valuemap.
+        with pytest.raises(ValueError, match="format must be one of"):
+            RenderSpec(format="svg")
 
 
 class TestRenderScenarioComparison:

@@ -40,6 +40,16 @@ class TestTransformationRecords:
     def test_ordinary_names_accepted(self, name):
         assert Scenario(name=name).name == name
 
+    @pytest.mark.parametrize("step", ["set_recovery_rate", 1.0, ("set_recovery_rate", 1.0)])
+    def test_steps_must_be_transformations(self, step):
+        with pytest.raises(ValueError, match="scenario step must be one of"):
+            Scenario("x", (SetRecoveryRate(1.0), step))
+
+    @pytest.mark.parametrize("enabled", ["no", 1, None])
+    def test_scaling_flag_must_be_a_bool(self, enabled):
+        with pytest.raises(ValueError, match="enabled must be a bool"):
+            ScaleReverseFlowValue(enabled=enabled)
+
 
 class TestFullRecovery:
     def test_reference_pair(self, account, economy):

@@ -70,6 +70,10 @@ class TestRecords:
         with pytest.raises(ValueError, match="sector value sum overflows to infinity"):
             reference_economy(gdp=1.7e308, sectors=sectors)
 
+    def test_sectors_must_be_sector_values(self):
+        with pytest.raises(ValueError, match="sectors must hold SectorValue records"):
+            EconomicAccount(2020, 86, 0.26, sectors=[("x", 1.0, "reverse_flow")])
+
     def test_services_share_is_stored_context(self, economy):
         assert economy.services_share == 0.65
 
