@@ -45,7 +45,6 @@ _EXPORTS = {
     "ScenarioResult": "scenarios",
     "SetRecoveryRate": "scenarios",
     "apply_scenario": "scenarios",
-    "full_recovery_potential": "scenarios",
     "CATEGORY_DISSIPATIVE_FLOW": "valuemap",
     "CATEGORY_REVERSE_FLOW": "valuemap",
     "DEFAULT_CFC_RATE": "valuemap",
@@ -53,7 +52,6 @@ _EXPORTS = {
     "SectorValue": "valuemap",
     "ValueAttribution": "valuemap",
     "attribute_value": "valuemap",
-    "material_intensity": "valuemap",
     "nfcf_rate": "valuemap",
     "reverse_flow_gdp_share": "valuemap",
     "stock_addition_value": "valuemap",

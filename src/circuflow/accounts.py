@@ -139,13 +139,6 @@ class MaterialFlowAccount(Record):
             self.emissions_output + self.waste_output + self.net_stock_additions
         )
 
-    def scaled(self, factor: float) -> "MaterialFlowAccount":
-        """Return a copy with every mass field multiplied by ``factor`` (> 0)."""
-        if not (factor > 0 and math.isfinite(factor)):
-            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
-        values = {name: getattr(self, name) * factor for name in MASS_FIELDS}
-        return MaterialFlowAccount(year=self.year, balance_tolerance=self.balance_tolerance, **values)
-
 
 class ValidationStatus(Enum):
     PASS = "pass"

@@ -1,12 +1,20 @@
 """Report rendering: plain tables, markdown, machine key-value lines, SVG.
 
+Each report renderer builds its numbers once, as an ordered ``{machine key:
+(kind, value)}`` table.  Machine format prints that table as it stands, one
+``key = value`` line per entry in insertion order, with shortest-round-trip
+floats, so identical inputs give byte-identical output.  Plain and markdown
+rows and the SVG text labels look their numbers up in the same table by key
+and format them through one ``kind -> formatter`` table, so a human format
+cannot show a number the machine format lacks.  The only human cells that
+are not keys are the scenario delta column and the valuemap mass column.
+
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
-other number is an exact quotient.  Machine format emits shortest-round-trip
-floats, so identical inputs give byte-identical output.  SVG charts come
-only from ``svg_metrics`` and ``svg_valuemap`` (SVG is not a ``RenderSpec``
-format) and are emitted from small string templates on purpose: the tool
-stays dependency-free.
+other number is an exact quotient.  SVG charts come only from
+``svg_metrics`` and ``svg_valuemap`` (SVG is not a ``RenderSpec`` format)
+and are emitted from small string templates on purpose: the tool stays
+dependency-free.
 """
 
 from __future__ import annotations
@@ -24,28 +32,48 @@ from .accounts import (
 from .record import Record, set_field
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .accounts import MaterialFlowAccount
     from .metrics import CircularityReport
     from .valuemap import ValueAttribution
+
+    # machine key -> (kind, value), in machine-output order
+    Numbers = dict[str, tuple[str, float]]
+    Table = tuple[tuple[str, ...], list[tuple[str, ...]]]
+    # layout(cell) -> (title, tables, note blocks, footnote)
+    Layout = Callable[[Callable[[str], str]], tuple[str, list[Table], list[str], str]]
 
 FORMAT_PLAIN = "plain"
 FORMAT_MARKDOWN = "markdown"
 FORMAT_MACHINE = "machine"
 FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE)
 
-_METRIC_LABELS = (
-    ("apparent", "apparent"),
-    ("dissipative_adjusted", "dissipative-adjusted"),
-    ("real_rate", "real"),
-    ("potential_ceiling", "potential ceiling"),
+#: (rate key, label, key of the denominator it divides by), in report order.
+_METRICS = (
+    ("apparent", "apparent", "denominator_total"),
+    ("dissipative_adjusted", "dissipative-adjusted", "denominator_recoverable"),
+    ("real_rate", "real", "denominator_annually_recoverable"),
+    ("potential_ceiling", "potential ceiling", "denominator_total"),
 )
-_CATEGORY_LABELS = (
-    ("reverse_flow", "reverse flows"),
-    ("dissipative_flow", "dissipative flows"),
-    ("stock_addition", "stock additions"),
-    ("waste", "waste"),
-    ("legacy_stock", "legacy stocks"),
+#: (category, label, account mass field shown next to it, key stem of its GDP
+#: share in scenario output).  "<side>_waste_share" already names the waste
+#: share of input there, so the waste category's GDP share is "waste_gdp_share".
+_CATEGORIES = (
+    ("reverse_flow", "reverse flows", "recycled_input", "reverse_flow_share"),
+    ("dissipative_flow", "dissipative flows", "energetic_input", "dissipative_flow_share"),
+    ("stock_addition", "stock additions", "net_stock_additions", "stock_addition_share"),
+    ("waste", "waste", "waste_output", "waste_gdp_share"),
+    ("legacy_stock", "legacy stocks", None, "legacy_stock_share"),
 )
+#: (label, key stem) of each scenario table row: the numbers are the
+#: ``baseline_<stem>`` and ``after_<stem>`` keys.
+_SCENARIO_RATE_ROWS = (
+    *((label, key) for key, label, _ in _METRICS),
+    ("waste share of input", "waste_share"),
+    *((f"{label} share of GDP", stem) for _, label, _, stem in _CATEGORIES),
+)
+_SCENARIO_VALUE_ROWS = tuple((label, f"{category}_value") for category, label, _, _ in _CATEGORIES)
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
 
 
@@ -68,8 +96,13 @@ class RenderSpec(Record):
     ) -> None:
         if format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-        if not isinstance(rounding, int) or rounding < 0:
+        if isinstance(rounding, bool) or not isinstance(rounding, int) or rounding < 0:
             raise ValueError(f"rounding must be a non-negative integer, got {rounding!r}")
+        if not isinstance(include_provenance_footnotes, bool):
+            raise ValueError(
+                "include_provenance_footnotes must be a bool, "
+                f"got {include_provenance_footnotes!r}"
+            )
         set_field(self, "format", format)
         set_field(self, "rounding", rounding)
         set_field(self, "include_provenance_footnotes", include_provenance_footnotes)
@@ -87,6 +120,31 @@ def format_money(trillions: float, places: int) -> str:
     rounded = round_half_away(trillions, places)
     sign = "-" if rounded < 0 else ""
     return f"{sign}${abs(rounded):.{places}f}T"
+
+
+def _format_money_delta(trillions: float, places: int) -> str:
+    text = format_money(trillions, places)
+    return text if text.startswith("-") else "+" + text
+
+
+#: How each kind of number prints in a human format.
+_FORMATTERS = {
+    "%": format_percent,
+    "pp": format_percent_delta,
+    "Gt": format_mass,
+    "$": format_money,
+    "+$": _format_money_delta,
+}
+
+
+def _cells(numbers: Numbers, places: int) -> Callable[[str], str]:
+    """``cell(key)``: the number under ``key``, formatted by its kind."""
+
+    def cell(key: str) -> str:
+        kind, value = numbers[key]
+        return _FORMATTERS[kind](value, places)
+
+    return cell
 
 
 def _plain_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -109,8 +167,22 @@ def _markdown_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> st
     return "\n".join(lines)
 
 
-def _machine_lines(pairs: list[tuple[str, object]]) -> str:
-    return "\n".join(f"{key} = {value!r}" for key, value in pairs) + "\n"
+def _project(spec: RenderSpec, numbers: Numbers, layout: Layout) -> str:
+    """Print ``numbers`` in machine format, or lay the report out for people.
+
+    ``layout(cell)`` is called only for the human formats.  It returns the
+    title, the ``(headers, rows)`` tables, the note blocks and a footnote
+    that prints only when the spec asks for footnotes.  Blocks are separated
+    by one blank line.
+    """
+    if spec.format == FORMAT_MACHINE:
+        return "".join(f"{key} = {value!r}\n" for key, (_, value) in numbers.items())
+    title, tables, notes, footnote = layout(_cells(numbers, spec.rounding))
+    make_table = _markdown_table if spec.format == FORMAT_MARKDOWN else _plain_table
+    blocks = [title, *(make_table(headers, rows) for headers, rows in tables), *notes]
+    if spec.include_provenance_footnotes and footnote:
+        blocks.append(footnote)
+    return "\n\n".join(blocks) + "\n"
 
 
 def render_validation(outcome: ValidationOutcome, spec: RenderSpec | None = None) -> str:
@@ -140,60 +212,41 @@ def render_validation(outcome: ValidationOutcome, spec: RenderSpec | None = None
     return "\n".join(lines) + "\n"
 
 
-def _metric_rows(report: CircularityReport, places: int) -> list[tuple[str, str, str]]:
-    denominators = {
-        "apparent": report.denominator_total,
-        "dissipative_adjusted": report.denominator_recoverable,
-        "real_rate": report.denominator_annually_recoverable,
-        "potential_ceiling": report.denominator_total,
-    }
-    rates = report.rates()
-    return [
-        (label, format_percent(rates[key], places), format_mass(denominators[key], places))
-        for key, label in _METRIC_LABELS
-    ]
+def _metric_numbers(report: CircularityReport) -> Numbers:
+    numbers = {key: ("%", rate) for key, rate in report.rates().items()}
+    numbers["denominator_total"] = ("Gt", report.denominator_total)
+    numbers["denominator_recoverable"] = ("Gt", report.denominator_recoverable)
+    numbers["denominator_annually_recoverable"] = ("Gt", report.denominator_annually_recoverable)
+    return numbers
 
 
 def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> str:
     """Render the metric family in the requested format."""
     spec = spec or RenderSpec()
-    if spec.format == FORMAT_MACHINE:
-        return _machine_lines(
-            [(key, rate) for key, rate in report.rates().items()]
-            + [
-                ("denominator_total", report.denominator_total),
-                ("denominator_recoverable", report.denominator_recoverable),
-                (
-                    "denominator_annually_recoverable",
-                    report.denominator_annually_recoverable,
-                ),
-            ]
-        )
-    rows = _metric_rows(report, spec.rounding)
-    headers = ("metric", "rate", "denominator")
-    table = (
-        _markdown_table(headers, rows)
-        if spec.format == FORMAT_MARKDOWN
-        else _plain_table(headers, rows)
-    )
-    out = ["circularity metrics", "", table]
-    if spec.include_provenance_footnotes:
-        out += [
-            "",
+
+    def layout(cell):
+        rows = [(label, cell(key), cell(denominator)) for key, label, denominator in _METRICS]
+        footnote = (
             f"note: rates are exact quotients rounded half-away-from-zero to "
             f"{spec.rounding} decimal place(s); half-way values round up in "
-            "magnitude (61.5% prints as 62% at zero places, not 61%).",
-        ]
-    return "\n".join(out) + "\n"
+            "magnitude (61.5% prints as 62% at zero places, not 61%)."
+        )
+        return "circularity metrics", [(("metric", "rate", "denominator"), rows)], [], footnote
+
+    return _project(spec, _metric_numbers(report), layout)
 
 
-#: Mass bins shown next to each value category when an account is supplied.
-_CATEGORY_MASS_FIELDS = {
-    "reverse_flow": "recycled_input",
-    "dissipative_flow": "energetic_input",
-    "stock_addition": "net_stock_additions",
-    "waste": "waste_output",
-}
+def _valuemap_numbers(
+    attribution: ValueAttribution, services_share: float | None = None
+) -> Numbers:
+    numbers = {"gdp": ("$", attribution.gdp)}
+    for category, value in attribution.values_by_category().items():
+        numbers[f"{category}_value"] = ("$", value)
+    for category, share in attribution.shares_by_category().items():
+        numbers[f"{category}_share"] = ("%", share)
+    if services_share is not None:
+        numbers["services_share"] = ("%", services_share)
+    return numbers
 
 
 def render_valuemap(
@@ -205,63 +258,27 @@ def render_valuemap(
 ) -> str:
     """Render the five-way GDP attribution; mass column shown when an account is given."""
     spec = spec or RenderSpec()
-    if spec.format == FORMAT_MACHINE:
-        pairs: list[tuple[str, object]] = [("gdp", attribution.gdp)]
-        pairs += [
-            (f"{key}_value", value) for key, value in attribution.values_by_category().items()
-        ]
-        pairs += [
-            (f"{key}_share", share) for key, share in attribution.shares_by_category().items()
-        ]
-        if services_share is not None:
-            pairs.append(("services_share", services_share))
-        return _machine_lines(pairs)
 
-    places = spec.rounding
-    values = attribution.values_by_category()
-    shares = attribution.shares_by_category()
-    rows = []
-    for key, label in _CATEGORY_LABELS:
-        if account is not None:
-            mass_field = _CATEGORY_MASS_FIELDS.get(key)
-            mass = (
-                format_mass(getattr(account, mass_field), places)
-                if mass_field
-                else "-"
+    def layout(cell):
+        rows = []
+        for category, label, mass_field, _ in _CATEGORIES:
+            # The mass column is human-only: account masses are not report numbers.
+            mass = () if account is None else (
+                format_mass(getattr(account, mass_field), spec.rounding) if mass_field else "-",
             )
-            rows.append(
-                (label, mass, format_money(values[key], places), format_percent(shares[key], places))
-            )
-        else:
-            rows.append((label, format_money(values[key], places), format_percent(shares[key], places)))
-    headers = (
-        ("category", "mass", "value", "share of GDP")
-        if account is not None
-        else ("category", "value", "share of GDP")
-    )
-    table = (
-        _markdown_table(headers, rows)
-        if spec.format == FORMAT_MARKDOWN
-        else _plain_table(headers, rows)
-    )
-    out = [f"GDP value attribution ({format_money(attribution.gdp, places)} GDP)", "", table]
-    if services_share is not None:
-        out += ["", f"services share of GDP (context only): {format_percent(services_share, places)}"]
-    if spec.include_provenance_footnotes:
-        out += [
-            "",
+            rows.append((label, *mass, cell(f"{category}_value"), cell(f"{category}_share")))
+        headers = ("category", *(() if account is None else ("mass",)), "value", "share of GDP")
+        notes = []
+        if services_share is not None:
+            notes.append(f"services share of GDP (context only): {cell('services_share')}")
+        footnote = (
             "note: the whole waste-management sector value is booked to reverse "
             "flows; the part directly created by recovered-material flows is "
-            "likely lower, so the reverse-flow share is an upper estimate.",
-        ]
-    return "\n".join(out) + "\n"
+            "likely lower, so the reverse-flow share is an upper estimate."
+        )
+        return f"GDP value attribution ({cell('gdp')} GDP)", [(headers, rows)], notes, footnote
 
-
-def _gdp_share_key(side: str, category: str) -> str:
-    # "<side>_waste_share" already names the waste share of input.
-    if category == "waste":
-        return f"{side}_waste_gdp_share"
-    return f"{side}_{category}_share"
+    return _project(spec, _valuemap_numbers(attribution, services_share), layout)
 
 
 def render_scenario_comparison(
@@ -277,81 +294,43 @@ def render_scenario_comparison(
 ) -> str:
     """Side-by-side baseline vs transformed metrics and attribution, with deltas."""
     spec = spec or RenderSpec()
-    places = spec.rounding
+    sides = (
+        ("baseline", baseline_report.rates(), baseline_attribution),
+        ("after", result_report.rates(), result_attribution),
+    )
+    # Rates interleave the two sides; GDP shares and values are grouped by side.
+    numbers: Numbers = {}
+    for key, _, _ in _METRICS:
+        for side, rates, _ in sides:
+            numbers[f"{side}_{key}"] = ("%", rates[key])
+    numbers["baseline_waste_share"] = ("%", baseline_waste_share)
+    numbers["after_waste_share"] = ("%", result_waste_share)
+    for side, _, attribution in sides:
+        shares = attribution.shares_by_category()
+        for category, _, _, stem in _CATEGORIES:
+            numbers[f"{side}_{stem}"] = ("%", shares[category])
+    for side, _, attribution in sides:
+        for category, value in attribution.values_by_category().items():
+            numbers[f"{side}_{category}_value"] = ("$", value)
 
-    metric_pairs: list[tuple[str, float, float]] = [
-        (label, baseline_report.rates()[key], result_report.rates()[key])
-        for key, label in _METRIC_LABELS
-    ]
-    metric_pairs.append(("waste share of input", baseline_waste_share, result_waste_share))
+    def layout(cell):
+        tables = []
+        for headers, rows, delta_kind in (
+            (("quantity", "baseline", "after", "delta"), _SCENARIO_RATE_ROWS, "pp"),
+            (("value", "baseline", "after", "delta"), _SCENARIO_VALUE_ROWS, "+$"),
+        ):
+            delta = _FORMATTERS[delta_kind]
+            cells = []
+            for label, stem in rows:
+                before, after = f"baseline_{stem}", f"after_{stem}"
+                # The delta column is human-only: machine output prints both sides.
+                change = numbers[after][1] - numbers[before][1]
+                cells.append((label, cell(before), cell(after), delta(change, spec.rounding)))
+            tables.append((headers, cells))
+        blocks = ["\n".join(["notes:", *(f"  - {note}" for note in notes)])] if notes else []
+        return f"scenario: {scenario_name}", tables, blocks, ""
 
-    share_pairs = [
-        (f"{label} share of GDP", before, after)
-        for (key, label), before, after in zip(
-            _CATEGORY_LABELS,
-            baseline_attribution.shares_by_category().values(),
-            result_attribution.shares_by_category().values(),
-        )
-    ]
-
-    if spec.format == FORMAT_MACHINE:
-        pairs: list[tuple[str, object]] = []
-        for key, _ in _METRIC_LABELS:
-            pairs.append((f"baseline_{key}", baseline_report.rates()[key]))
-            pairs.append((f"after_{key}", result_report.rates()[key]))
-        pairs.append(("baseline_waste_share", baseline_waste_share))
-        pairs.append(("after_waste_share", result_waste_share))
-        for key, before in baseline_attribution.shares_by_category().items():
-            pairs.append((_gdp_share_key("baseline", key), before))
-        for key, after in result_attribution.shares_by_category().items():
-            pairs.append((_gdp_share_key("after", key), after))
-        for key, before in baseline_attribution.values_by_category().items():
-            pairs.append((f"baseline_{key}_value", before))
-        for key, after in result_attribution.values_by_category().items():
-            pairs.append((f"after_{key}_value", after))
-        return _machine_lines(pairs)
-
-    def percent_rows(pairs_: list[tuple[str, float, float]]) -> list[tuple[str, ...]]:
-        return [
-            (
-                label,
-                format_percent(before, places),
-                format_percent(after, places),
-                format_percent_delta(after - before, places),
-            )
-            for label, before, after in pairs_
-        ]
-
-    def money_delta(delta: float) -> str:
-        text = format_money(delta, places)
-        return text if text.startswith("-") else "+" + text
-
-    value_rows = [
-        (
-            label,
-            format_money(before, places),
-            format_money(after, places),
-            money_delta(after - before),
-        )
-        for (key, label), before, after in zip(
-            _CATEGORY_LABELS,
-            baseline_attribution.values_by_category().values(),
-            result_attribution.values_by_category().values(),
-        )
-    ]
-
-    headers = ("quantity", "baseline", "after", "delta")
-    make_table = _markdown_table if spec.format == FORMAT_MARKDOWN else _plain_table
-    out = [
-        f"scenario: {scenario_name}",
-        "",
-        make_table(headers, percent_rows(metric_pairs + share_pairs)),
-        "",
-        make_table(("value", "baseline", "after", "delta"), value_rows),
-    ]
-    if notes:
-        out += [""] + ["notes:"] + [f"  - {note}" for note in notes]
-    return "\n".join(out) + "\n"
+    return _project(spec, numbers, layout)
 
 
 def _escape(text: str) -> str:
@@ -374,36 +353,29 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     three rates, the ceiling).
     """
     spec = spec or RenderSpec()
-    places = spec.rounding
+    numbers = _metric_numbers(report)
+    cell = _cells(numbers, spec.rounding)
     width, height = 640, 400
     plot_left, plot_top, plot_bottom = 60, 70, 360
     bar_width, gap = 140, 50
     scale = (plot_bottom - plot_top) / max(report.denominator_total, 1e-300)
 
-    bars = (
-        ("total", "total input", report.denominator_total, "apparent", report.apparent),
+    # One bar per metric but the ceiling, each over its own denominator.
+    bars = zip(
         (
-            "recoverable",
-            "non-dissipative",
-            report.denominator_recoverable,
-            "dissipative-adjusted",
-            report.dissipative_adjusted,
+            ("total", "total input"),
+            ("recoverable", "non-dissipative"),
+            ("annually-recoverable", "annually recoverable"),
         ),
-        (
-            "annually-recoverable",
-            "annually recoverable",
-            report.denominator_annually_recoverable,
-            "real",
-            report.real_rate,
-        ),
+        _METRICS,
     )
     body = [
         f'<text id="title" x="{plot_left}" y="30" font-size="18">'
         "Circularity: shrinking denominators, rising rate</text>"
     ]
-    for index, (slug, label, denominator, rate_name, rate) in enumerate(bars):
+    for index, ((slug, label), (rate_key, rate_name, denominator_key)) in enumerate(bars):
         x = plot_left + index * (bar_width + gap)
-        bar_height = denominator * scale
+        bar_height = numbers[denominator_key][1] * scale
         y = plot_bottom - bar_height
         color = _SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]
         body.append(
@@ -413,16 +385,16 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
         body.append(
             f'<text id="denominator-{slug}" x="{x + bar_width / 2:.1f}" y="{plot_bottom + 20}" '
             f'font-size="13" text-anchor="middle">{_escape(label)}: '
-            f"{format_mass(denominator, places)}</text>"
+            f"{cell(denominator_key)}</text>"
         )
         body.append(
             f'<text id="rate-{rate_name}" x="{x + bar_width / 2:.1f}" y="{y - 8:.1f}" '
             f'font-size="14" text-anchor="middle">{_escape(rate_name)} '
-            f"{format_percent(rate, places)}</text>"
+            f"{cell(rate_key)}</text>"
         )
     body.append(
         f'<text id="rate-potential-ceiling" x="{width - 20}" y="30" font-size="13" '
-        f'text-anchor="end">ceiling {format_percent(report.potential_ceiling, places)}</text>'
+        f'text-anchor="end">ceiling {cell("potential_ceiling")}</text>'
     )
     return _svg_document(width, height, body)
 
@@ -430,26 +402,25 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
 def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) -> str:
     """Stacked horizontal bar of GDP shares with a five-entry legend."""
     spec = spec or RenderSpec()
-    places = spec.rounding
+    numbers = _valuemap_numbers(attribution)
+    cell = _cells(numbers, spec.rounding)
     width, height = 640, 260
     bar_left, bar_top, bar_width, bar_height = 20, 60, 600, 48
-    shares = attribution.shares_by_category()
-    values = attribution.values_by_category()
 
     body = [
         f'<text id="title" x="{bar_left}" y="30" font-size="18">'
         "GDP value by resource-flow category</text>"
     ]
     x = bar_left
-    for index, (key, label) in enumerate(_CATEGORY_LABELS):
-        segment = shares[key] * bar_width
+    for index, (key, _, _, _) in enumerate(_CATEGORIES):
+        segment = numbers[f"{key}_share"][1] * bar_width
         if segment > 0:
             body.append(
                 f'<rect id="segment-{key}" x="{x:.2f}" y="{bar_top}" width="{segment:.2f}" '
                 f'height="{bar_height}" fill="{_SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]}"/>'
             )
         x += segment
-    for index, (key, label) in enumerate(_CATEGORY_LABELS):
+    for index, (key, label, _, _) in enumerate(_CATEGORIES):
         y = bar_top + bar_height + 28 + index * 20
         body.append(
             f'<rect x="{bar_left}" y="{y - 11}" width="12" height="12" '
@@ -457,8 +428,7 @@ def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) 
         )
         body.append(
             f'<text id="share-{key}" x="{bar_left + 18}" y="{y}" font-size="13">'
-            f"{_escape(label)}: {format_percent(shares[key], places)} "
-            f"({format_money(values[key], places)})</text>"
+            f"{_escape(label)}: {cell(key + '_share')} ({cell(key + '_value')})</text>"
         )
     if spec.include_provenance_footnotes:
         body.append(

@@ -25,7 +25,7 @@ from .accounts import (
     annually_recoverable_input,
     validate,
 )
-from .errors import ScenarioError, UndefinedDenominatorError
+from .errors import ScenarioError
 from .metrics import CircularityReport, metric_suite
 from .record import Record, set_field
 from .valuemap import (
@@ -34,7 +34,6 @@ from .valuemap import (
     ValueAttribution,
     attribute_value,
     check_name,
-    reverse_flow_gdp_share,
 )
 
 
@@ -276,19 +275,3 @@ def apply_scenario(
         attribution=attribute_value(current_economy),
         notes=tuple(notes),
     )
-
-
-def full_recovery_potential(
-    account: MaterialFlowAccount, economy: EconomicAccount
-) -> float:
-    """GDP share the reverse flow would reach at full recovery of the annual pool.
-
-    Scales today's reverse-flow GDP share by (annually recoverable /
-    recycled), assuming value moves proportionally with the flow.  With a
-    zero reverse flow the proportionality is undefined.
-    """
-    recycled = account.recycled_input
-    if recycled <= 0:
-        raise UndefinedDenominatorError("recycled_input", "full_recovery_potential")
-    ratio = annually_recoverable_input(account) / recycled
-    return ratio * reverse_flow_gdp_share(economy)

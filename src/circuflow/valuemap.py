@@ -267,14 +267,3 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
         waste_share=waste / gdp,
         legacy_stock_share=legacy / gdp,
     )
-
-
-def material_intensity(mass_kg: float, spend: float) -> float:
-    """Mass used per unit of spending (kg per currency unit) in a consumption domain."""
-    mass = float(mass_kg)
-    if not math.isfinite(mass) or mass < 0:
-        raise ValueError(f"mass must be non-negative and finite, got {mass_kg!r}")
-    spend = float(spend)
-    if not spend > 0:
-        raise UndefinedDenominatorError("spend", "material_intensity")
-    return mass / spend

@@ -10,6 +10,7 @@ import random
 from pathlib import Path
 
 from circuflow import EconomicAccount, MaterialFlowAccount, SectorValue
+from circuflow.accounts import MASS_FIELDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -108,6 +109,11 @@ def random_economy(rng: random.Random, year: int = 2020) -> EconomicAccount:
     return EconomicAccount(
         year=year, gdp=gdp, gfcf_rate=gfcf, cfc_rate=cfc, sectors=tuple(sectors)
     )
+
+
+def scale_account(account: MaterialFlowAccount, factor: float) -> MaterialFlowAccount:
+    """Multiply every mass field by ``factor`` (year and tolerance untouched)."""
+    return account.replace(**{name: getattr(account, name) * factor for name in MASS_FIELDS})
 
 
 def scale_economy(economy: EconomicAccount, factor: float) -> EconomicAccount:

@@ -69,16 +69,6 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             account.total_input = 1.0
 
-    def test_scaled_multiplies_every_mass(self, account):
-        doubled = account.scaled(2.0)
-        assert doubled.total_input == 208.0
-        assert doubled.recycled_input == 18.0
-        assert doubled.balance_tolerance == account.balance_tolerance
-
-    def test_scaled_rejects_non_positive_factor(self, account):
-        with pytest.raises(ValueError, match="factor"):
-            account.scaled(0.0)
-
 
 class TestValidate:
     def test_reference_account_passes_with_warning(self, account):

@@ -7,6 +7,7 @@ never by calling the code under test.
 
 import math
 import random
+import re
 
 import pytest
 
@@ -19,13 +20,11 @@ from circuflow import (
     annually_recoverable_input,
     apply_scenario,
     attribute_value,
-    full_recovery_potential,
     metric_suite,
-    reverse_flow_gdp_share,
     validate,
     waste_share,
 )
-from support import random_economy, random_valid_account
+from support import random_economy, random_valid_account, scale_account
 
 N = 1000
 
@@ -82,7 +81,7 @@ def test_mass_scale_invariance():
     for _ in range(N):
         account = random_valid_account(rng)
         factor = rng.uniform(1e-3, 1e3)
-        scaled = account.scaled(factor)
+        scaled = scale_account(account, factor)
         assert validate(scaled).ok
         assert waste_share(scaled) == pytest.approx(waste_share(account), rel=1e-12)
         base, big = metric_suite(account), metric_suite(scaled)
@@ -215,18 +214,6 @@ def test_scenarios_never_create_mass():
         assert increase == pytest.approx(reduction, abs=1e-9 * max(1.0, float(account.total_input)))
 
 
-def test_full_recovery_potential_dominates_current_share():
-    rng = random.Random(114)
-    checked = 0
-    while checked < N:
-        account = random_valid_account(rng)
-        economy = random_economy(rng)
-        if float(account.recycled_input) <= 0 or float(economy.gdp) <= 0:
-            continue
-        assert full_recovery_potential(account, economy) >= reverse_flow_gdp_share(economy)
-        checked += 1
-
-
 def test_real_rate_hits_one_exactly_at_full_recovery():
     rng = random.Random(115)
     for _ in range(N):
@@ -348,16 +335,64 @@ def _machine_values(text):
     return [line.partition(" = ")[2] for line in text.splitlines()]
 
 
+_CATEGORY_ROWS = {
+    "reverse flows": "reverse_flow",
+    "dissipative flows": "dissipative_flow",
+    "stock additions": "stock_addition",
+    "waste": "waste",
+    "legacy stocks": "legacy_stock",
+}
+_CATEGORY_MASSES = {
+    "reverse_flow": "recycled_input",
+    "dissipative_flow": "energetic_input",
+    "stock_addition": "net_stock_additions",
+    "waste": "waste_output",
+}
+_METRIC_ROWS = {
+    "apparent": ("apparent", "denominator_total"),
+    "dissipative-adjusted": ("dissipative_adjusted", "denominator_recoverable"),
+    "real": ("real_rate", "denominator_annually_recoverable"),
+    "potential ceiling": ("potential_ceiling", "denominator_total"),
+}
+
+
+def _plain_tables(text):
+    """The rows of every plain table in ``text``, each split into its cells."""
+    return [
+        [re.split(" {2,}", line) for line in block.splitlines()[1:]]
+        for block in text.split("\n\n")
+        if block.startswith(("metric  ", "category  ", "quantity  ", "value  "))
+    ]
+
+
 def test_machine_output_prints_every_value_as_a_float_repr():
-    """Machine values are shortest-round-trip floats, also for an empty sector category."""
+    """Machine values are shortest-round-trip floats, also for an empty sector category.
+
+    The plain rendering of the same reports shows exactly those values: every
+    table cell is its key's machine value through the kind's formatter, and
+    only the delta and mass columns are computed outside the machine keys.
+    """
     from circuflow.render import (
         RenderSpec,
+        format_mass,
+        format_money,
+        format_percent,
+        format_percent_delta,
         render_metrics,
         render_scenario_comparison,
         render_valuemap,
     )
 
+    def shown(machine, key, places):
+        value = float(machine[key])
+        if key.startswith("denominator_"):
+            return format_mass(value, places)
+        if key == "gdp" or key.endswith("_value"):
+            return format_money(value, places)
+        return format_percent(value, places)
+
     rng = random.Random(119)
+    places_rng = random.Random(1190)
     spec = RenderSpec(format="machine")
     scenario = Scenario("full", (SetRecoveryRate(1.0),))
     empty_categories = 0
@@ -374,23 +409,73 @@ def test_machine_output_prints_every_value_as_a_float_repr():
         report = metric_suite(account)
         attribution = attribute_value(economy)
         result = apply_scenario(account, economy, scenario)
+        comparison = (
+            scenario.name,
+            report,
+            attribution,
+            waste_share(account),
+            result.report,
+            result.attribution,
+            waste_share(result.account),
+        )
         texts = (
             render_metrics(report, spec),
             render_valuemap(attribution, spec, services_share=economy.services_share),
-            render_scenario_comparison(
-                scenario.name,
-                report,
-                attribution,
-                waste_share(account),
-                result.report,
-                result.attribution,
-                waste_share(result.account),
-                spec=spec,
-            ),
+            render_scenario_comparison(*comparison, spec=spec),
         )
         for text in texts:
             for value in _machine_values(text):
                 assert value == repr(float(value)), text
+
+        places = places_rng.randint(0, 3)
+        plain = RenderSpec(rounding=places)
+        metrics, valuemap, scenario_values = (
+            dict(line.split(" = ") for line in text.splitlines()) for text in texts
+        )
+        text = render_metrics(report, plain)
+        (rows,) = _plain_tables(text)
+        assert [row[0] for row in rows] == list(_METRIC_ROWS), text
+        for label, rate, denominator in rows:
+            rate_key, denominator_key = _METRIC_ROWS[label]
+            assert rate == shown(metrics, rate_key, places), text
+            assert denominator == shown(metrics, denominator_key, places), text
+
+        text = render_valuemap(
+            attribution, plain, account=account, services_share=economy.services_share
+        )
+        (rows,) = _plain_tables(text)
+        assert [row[0] for row in rows] == list(_CATEGORY_ROWS), text
+        assert f"({shown(valuemap, 'gdp', places)} GDP)" in text
+        for label, mass, value, share in rows:
+            category = _CATEGORY_ROWS[label]
+            field = _CATEGORY_MASSES.get(category)
+            assert mass == (format_mass(getattr(account, field), places) if field else "-")
+            assert value == shown(valuemap, f"{category}_value", places), text
+            assert share == shown(valuemap, f"{category}_share", places), text
+
+        text = render_scenario_comparison(*comparison, spec=plain)
+        rate_rows, value_rows = _plain_tables(text)
+        stems = {label: rate_key for label, (rate_key, _) in _METRIC_ROWS.items()}
+        stems["waste share of input"] = "waste_share"
+        for label, category in _CATEGORY_ROWS.items():
+            gdp_share = "waste_gdp_share" if category == "waste" else f"{category}_share"
+            stems[f"{label} share of GDP"] = gdp_share
+        assert [row[0] for row in rate_rows] == list(stems), text
+        for label, before, after, delta in rate_rows:
+            before_key, after_key = f"baseline_{stems[label]}", f"after_{stems[label]}"
+            assert before == shown(scenario_values, before_key, places), text
+            assert after == shown(scenario_values, after_key, places), text
+            change = float(scenario_values[after_key]) - float(scenario_values[before_key])
+            assert delta == format_percent_delta(change, places), text
+        assert [row[0] for row in value_rows] == list(_CATEGORY_ROWS), text
+        for label, before, after, delta in value_rows:
+            before_key = f"baseline_{_CATEGORY_ROWS[label]}_value"
+            after_key = f"after_{_CATEGORY_ROWS[label]}_value"
+            assert before == shown(scenario_values, before_key, places), text
+            assert after == shown(scenario_values, after_key, places), text
+            change = float(scenario_values[after_key]) - float(scenario_values[before_key])
+            money = format_money(change, places)
+            assert delta == (money if money.startswith("-") else "+" + money), text
     assert empty_categories > N // 2
 
 

@@ -86,6 +86,18 @@ class TestRenderSpec:
         with pytest.raises(ValueError, match="rounding"):
             RenderSpec(rounding=-1)
 
+    @pytest.mark.parametrize("rounding", [True, False])
+    def test_rejects_bool_rounding(self, rounding):
+        # bool is an int subclass; True used to print one decimal place
+        with pytest.raises(ValueError, match="rounding must be a non-negative integer"):
+            RenderSpec(rounding=rounding)
+
+    @pytest.mark.parametrize("flag", ["no", "", 0, 1, None])
+    def test_rejects_footnote_flag_that_is_not_a_bool(self, flag):
+        # "no" is truthy: stored as given, it used to print the footnotes
+        with pytest.raises(ValueError, match="include_provenance_footnotes must be a bool"):
+            RenderSpec(include_provenance_footnotes=flag)
+
 
 class TestRenderMetrics:
     def test_markdown_contains_reference_percentages(self, account):

@@ -13,10 +13,7 @@ from circuflow import (
     Scenario,
     ScenarioError,
     SetRecoveryRate,
-    UndefinedDenominatorError,
     apply_scenario,
-    full_recovery_potential,
-    reverse_flow_gdp_share,
 )
 from support import reference_account
 
@@ -214,22 +211,3 @@ class TestScaleSemantics:
             ),
         )
         assert once.economy == twice.economy
-
-
-class TestFullRecoveryPotential:
-    def test_reference_pair(self, account, economy):
-        # (33 / 9) x (1.2 / 86), under the stated 6% bound
-        potential = full_recovery_potential(account, economy)
-        assert potential == pytest.approx(0.0512, abs=5e-5)
-        assert potential < 0.06
-
-    def test_already_at_ceiling(self, economy):
-        account = reference_account(net_stock_additions=55.0, waste_output=4.0)
-        assert full_recovery_potential(account, economy) == pytest.approx(
-            reverse_flow_gdp_share(economy), rel=1e-12
-        )
-
-    def test_zero_recycled_is_undefined(self, economy):
-        account = reference_account(recycled_input=0.0)
-        with pytest.raises(UndefinedDenominatorError, match="recycled_input"):
-            full_recovery_potential(account, economy)

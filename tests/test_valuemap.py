@@ -10,7 +10,6 @@ from circuflow import (
     StockDepletionWarning,
     UndefinedDenominatorError,
     attribute_value,
-    material_intensity,
     nfcf_rate,
     reverse_flow_gdp_share,
     stock_addition_value,
@@ -179,24 +178,3 @@ class TestReverseFlowShare:
     def test_zero_gdp_is_undefined(self):
         with pytest.raises(UndefinedDenominatorError):
             reverse_flow_gdp_share(reference_economy(gdp=0.0))
-
-
-class TestMaterialIntensity:
-    def test_services_reference_bound(self):
-        # services use the fewest kg per unit spent; reference bound 0.25 kg
-        assert material_intensity(0.20, 1.0) < 0.25
-
-    def test_housing_is_eleven_times_services(self):
-        services_bound = 0.25
-        assert material_intensity(11 * services_bound, 1.0) == pytest.approx(2.75, rel=1e-12)
-
-    def test_zero_mass(self):
-        assert material_intensity(0.0, 10.0) == 0.0
-
-    def test_zero_spend_is_undefined(self):
-        with pytest.raises(UndefinedDenominatorError, match="spend"):
-            material_intensity(1.0, 0.0)
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            material_intensity(-1.0, 10.0)
