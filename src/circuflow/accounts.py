@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
 from .errors import AccountInvariantError, UndefinedDenominatorError
-from .record import Record, set_field
+from .record import Record, check_real, set_field
 
 DEFAULT_BALANCE_TOLERANCE = 0.05
 
@@ -56,7 +56,7 @@ CANONICAL_MASS_UNIT = "Gt"
 
 def check_mass(value: float) -> float:
     """Return ``value`` as a float mass in Gt/yr, rejecting non-finite or negative values."""
-    mass = float(value)
+    mass = check_real(value, "mass")
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {value!r}")
     if mass < 0:
@@ -128,7 +128,7 @@ class MaterialFlowAccount(Record):
             raise ValueError(
                 "mass sum emissions + waste + net_stock_additions overflows to infinity"
             )
-        tol = float(balance_tolerance)
+        tol = check_real(balance_tolerance, "balance_tolerance")
         if not math.isfinite(tol) or not 0.0 <= tol <= 1.0:
             raise ValueError(f"balance_tolerance must be a fraction in [0, 1], got {tol!r}")
         set_field(self, "balance_tolerance", tol)

@@ -79,6 +79,10 @@ def _load(parse: Callable[..., object], path: str, **options: Callable[[], objec
             text = handle.read()
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(
+            EXIT_IO, f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     try:
         return parse(text, **{name: get() for name, get in options.items()})
     except DocumentError as exc:
@@ -115,7 +119,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
     outcome = validate(account)
     sys.stdout.write(render_validation(outcome))
-    return EXIT_OK if outcome.ok else EXIT_VALIDATION
+    if not outcome.ok:
+        print(f"error: {args.account}: account fails validation", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -45,8 +45,10 @@ class OverAttributionError(CircuflowError):
 class ScenarioError(CircuflowError):
     """A scenario step could not be applied, or the transformed state is inconsistent.
 
-    ``step_index`` is 0-based; ``None`` means the failure happened before or
-    after the step sequence (input validation / final consistency check).
+    ``step_index`` is 0-based and names the step whose precondition failed,
+    whose result no record accepts, or after which mass was not conserved.
+    ``None`` means only baseline validation or the final re-check of the
+    structural invariants failed.
     """
 
     def __init__(self, scenario: str, step_index: int | None, reason: str) -> None:

@@ -9,6 +9,8 @@ CLI call spends computing.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from operator import attrgetter
 from typing import Any, TypeVar
 
@@ -16,6 +18,22 @@ _R = TypeVar("_R", bound="Record")
 
 #: Stores a field on a record under construction (``Record.__setattr__`` refuses).
 set_field = object.__setattr__
+
+
+def check_real(value: object, what: str) -> float:
+    """Return ``value`` as a float if it is a real number; ``bool`` and ``str`` are not.
+
+    Strings become numbers only in the documents layer.  An ``int`` too large
+    for a float becomes an infinity, which the caller's range check names.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class Record:

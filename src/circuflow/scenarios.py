@@ -4,30 +4,19 @@ Transformations move mass between named bins and never create it.  Steps
 apply left to right and order matters; the result of each composition is
 reported as-is, with no feasibility claim attached.
 
-One bookkeeping subtlety drives the engine's final consistency check: the
-flat balance identity counts the recovery loop on the input side only, so
-raising the recovery rate moves mass out of the waste bin into the loop
-and the raw residual grows by exactly the moved amount (likewise, booking
-energetic input into stock additions shrinks it).  Re-judging the raw
-residual against the account tolerance would double-count those moves, so
-the engine instead re-checks every structural invariant strictly and
-requires the residual to equal the baseline residual plus the documented
-moves; the balance tolerance is judged net of them.
+Moving ``amount`` Gt from a source bin to a sink bin changes the residual
+(total input minus the output bins) by ``amount × (source is an output bin −
+sink is an output bin)``; the engine checks that rule after every step.
 """
 
 from __future__ import annotations
 
 import math
 
-from .accounts import (
-    MASS_BALANCE,
-    MaterialFlowAccount,
-    annually_recoverable_input,
-    validate,
-)
+from .accounts import MASS_BALANCE, MaterialFlowAccount, annually_recoverable_input, validate
 from .errors import ScenarioError
 from .metrics import CircularityReport, metric_suite
-from .record import Record, set_field
+from .record import Record, check_real, set_field
 from .valuemap import (
     CATEGORY_REVERSE_FLOW,
     EconomicAccount,
@@ -38,7 +27,7 @@ from .valuemap import (
 
 
 def _check_fraction(value: float) -> float:
-    v = float(value)
+    v = check_real(value, "fraction")
     if not math.isfinite(v) or not 0.0 <= v <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {value!r}")
     return v
@@ -149,119 +138,129 @@ class ScenarioResult(Record):
         set_field(self, "notes", notes)
 
 
+_Move = tuple[float, str, str, dict[str, float]]  # Gt moved, source bin, sink bin, new values
+
+_OUTPUT_BINS = frozenset(("emissions_output", "waste_output", "net_stock_additions"))
+
+
+def _recover(account: MaterialFlowAccount, fraction: float) -> _Move:
+    new_recycled = fraction * annually_recoverable_input(account)
+    increase = new_recycled - account.recycled_input
+    new_waste = account.waste_output - increase
+    if new_waste < 0:
+        raise ValueError(
+            f"recovery increase {increase:.6g} Gt exceeds the waste bin "
+            f"({account.waste_output:.6g} Gt)"
+        )
+    values = {"recycled_input": new_recycled, "waste_output": new_waste}
+    return increase, "waste_output", "recycled_input", values
+
+
+def _divert(account: MaterialFlowAccount, fraction: float) -> _Move:
+    moved = fraction * account.waste_output
+    new_stock = account.net_stock_additions + moved
+    if new_stock > account.structural_input:
+        raise ValueError(
+            f"diverting {moved:.6g} Gt would push net_stock_additions to {new_stock:.6g} Gt, "
+            f"beyond structural_input ({account.structural_input:.6g} Gt)"
+        )
+    values = {"waste_output": account.waste_output - moved, "net_stock_additions": new_stock}
+    return moved, "waste_output", "net_stock_additions", values
+
+
+def _replace_energetic(account: MaterialFlowAccount, fraction: float) -> _Move:
+    moved = fraction * account.energetic_input
+    values = {
+        "energetic_input": account.energetic_input - moved,
+        "structural_input": account.structural_input + moved,
+        "net_stock_additions": account.net_stock_additions + moved,
+    }
+    return moved, "energetic_input", "net_stock_additions", values
+
+
+#: The move of each mass step; ScaleReverseFlowValue moves no mass.
+_MOVES = {
+    SetRecoveryRate: _recover,
+    DivertWasteToStock: _divert,
+    ReplaceEnergeticWithStock: _replace_energetic,
+}
+
+
 def apply_scenario(
-    account: MaterialFlowAccount,
-    economy: EconomicAccount,
-    scenario: Scenario,
+    account: MaterialFlowAccount, economy: EconomicAccount, scenario: Scenario
 ) -> ScenarioResult:
     """Apply a scenario's steps left to right and recompute both reports.
 
     Raises:
         ScenarioError: If the baseline account fails validation, a step's
-            precondition is violated (the error carries the step index),
-            or the transformed account is inconsistent.
+            precondition fails or mass is not conserved after it (the error
+            carries the step index), or the result breaks a structural invariant.
     """
     baseline = validate(account)
     if not baseline.ok:
         reasons = "; ".join(v.message for v in baseline.violations)
         raise ScenarioError(scenario.name, None, f"baseline account fails validation: {reasons}")
 
-    current = account
-    current_economy = economy
+    current, current_economy = account, economy
     expected_residual = baseline.residual
-    notes: list[str] = []
+    slack = 1e-9 * max(account.total_input, 1.0)  # no move changes total_input
+    log: list[tuple[Transformation, float]] = []  # each step with its Gt moved or value factor
 
     for index, step in enumerate(scenario.steps):
         try:
-            match step:
-                case SetRecoveryRate(fraction=fraction):
-                    pool = annually_recoverable_input(current)
-                    new_recycled = fraction * pool
-                    increase = new_recycled - current.recycled_input
-                    new_waste = current.waste_output - increase
-                    if new_waste < 0:
-                        raise ScenarioError(
-                            scenario.name,
-                            index,
-                            f"recovery increase {increase:.6g} Gt exceeds the waste bin "
-                            f"({current.waste_output:.6g} Gt)",
-                        )
-                    current = current.replace(
-                        recycled_input=new_recycled, waste_output=new_waste
+            move = _MOVES.get(type(step))
+            if move is not None:
+                amount, source, sink, values = move(current, step.fraction)
+                current = current.replace(**values)
+                expected_residual += amount * ((source in _OUTPUT_BINS) - (sink in _OUTPUT_BINS))
+                log.append((step, amount))
+            else:
+                if step.enabled and account.recycled_input <= 0:
+                    raise ValueError(
+                        "proportional value scaling requires a nonzero baseline reverse flow"
                     )
-                    # The loop is input-side bookkeeping: mass leaving the waste
-                    # bin raises the flat residual by exactly the increase.
-                    expected_residual += increase
-                case DivertWasteToStock(fraction=fraction):
-                    moved = fraction * current.waste_output
-                    new_stock = current.net_stock_additions + moved
-                    if new_stock > current.structural_input:
-                        raise ScenarioError(
-                            scenario.name,
-                            index,
-                            f"diverting {moved:.6g} Gt would push net_stock_additions to "
-                            f"{new_stock:.6g} Gt, beyond structural_input "
-                            f"({current.structural_input:.6g} Gt)",
-                        )
-                    current = current.replace(
-                        waste_output=current.waste_output - moved,
-                        net_stock_additions=new_stock,
-                    )
-                case ReplaceEnergeticWithStock(fraction=fraction):
-                    moved = fraction * current.energetic_input
-                    current = current.replace(
-                        energetic_input=current.energetic_input - moved,
-                        structural_input=current.structural_input + moved,
-                        net_stock_additions=current.net_stock_additions + moved,
-                    )
-                    expected_residual -= moved
-                    if moved > 0:
-                        notes.append(
-                            f"{moved:.6g} Gt of energetic input rebooked as stock-building "
-                            "structural input; emissions_output left unchanged (emission "
-                            "modeling out of scope)"
-                        )
-                case ScaleReverseFlowValue(enabled=enabled):
-                    original_recycled = account.recycled_input
-                    if enabled and original_recycled <= 0:
-                        raise ScenarioError(
-                            scenario.name,
-                            index,
-                            "proportional value scaling requires a nonzero baseline reverse flow",
-                        )
-                    factor = current.recycled_input / original_recycled if enabled else 1.0
-                    current_economy = current_economy.replace(
-                        sectors=tuple(
-                            sector.replace(value=original.value * factor)
-                            if sector.category == CATEGORY_REVERSE_FLOW
-                            else sector
-                            for sector, original in zip(current_economy.sectors, economy.sectors)
-                        ),
-                    )
-                    if enabled:
-                        notes.append(
-                            f"reverse-flow sector values scaled x{factor:.6g}, assuming value "
-                            "moves proportionally with the reverse flow (explicit assumption)"
-                        )
+                factor = current.recycled_input / account.recycled_input if step.enabled else 1.0
+                current_economy = current_economy.replace(
+                    sectors=tuple(
+                        sector.replace(value=original.value * factor)
+                        if sector.category == CATEGORY_REVERSE_FLOW
+                        else sector
+                        for sector, original in zip(current_economy.sectors, economy.sectors)
+                    ),
+                )
+                log.append((step, factor))
         except ValueError as exc:
-            # A record rejected the step's result, e.g. a value scaled to infinity.
+            # A precondition failed, or a record rejected the step's result.
             raise ScenarioError(scenario.name, index, str(exc)) from None
+        residual = current.mass_residual()
+        if abs(residual - expected_residual) > slack:
+            raise ScenarioError(
+                scenario.name,
+                index,
+                f"mass not conserved: residual {residual:.6g} Gt, expected "
+                f"{expected_residual:.6g} Gt from the documented moves",
+            )
 
-    actual_residual = current.mass_residual()
-    if abs(actual_residual - expected_residual) > 1e-9 * max(current.total_input, 1.0):
-        raise ScenarioError(
-            scenario.name,
-            None,
-            f"mass not conserved: residual {actual_residual:.6g} Gt, expected "
-            f"{expected_residual:.6g} Gt from the documented moves",
-        )
     outcome = validate(current)
     structural_violations = [v for v in outcome.violations if v.invariant != MASS_BALANCE]
     if structural_violations:
         reasons = "; ".join(v.message for v in structural_violations)
         raise ScenarioError(scenario.name, None, f"transformed account is inconsistent: {reasons}")
+
+    notes = []
+    for step, quantity in log:
+        if type(step) is ReplaceEnergeticWithStock and quantity > 0:
+            notes.append(
+                f"{quantity:.6g} Gt of energetic input rebooked as stock-building structural "
+                "input; emissions_output left unchanged (emission modeling out of scope)"
+            )
+        elif type(step) is ScaleReverseFlowValue and step.enabled:
+            notes.append(
+                f"reverse-flow sector values scaled x{quantity:.6g}, assuming value "
+                "moves proportionally with the reverse flow (explicit assumption)"
+            )
     rebooked = expected_residual - baseline.residual
-    if abs(rebooked) > 1e-9 * max(current.total_input, 1.0):
+    if abs(rebooked) > slack:
         notes.append(
             f"scenario rebooked {rebooked:+.6g} Gt across the input/output boundary; "
             f"balance judged net of that move (underlying residual "

@@ -20,7 +20,7 @@ from .errors import (
     StockDepletionWarning,
     UndefinedDenominatorError,
 )
-from .record import Record, set_field
+from .record import Record, check_real, set_field
 
 CATEGORY_REVERSE_FLOW = "reverse_flow"
 CATEGORY_DISSIPATIVE_FLOW = "dissipative_flow"
@@ -40,7 +40,7 @@ def _check_money(value: float) -> float:
     Money may be signed (net capital formation is negative in a year of
     stock depletion); records that need non-negativity check it themselves.
     """
-    money = float(value)
+    money = check_real(value, "monetary value")
     if not math.isfinite(money):
         raise ValueError(f"monetary value must be finite, got {value!r}")
     return money
@@ -105,7 +105,7 @@ class EconomicAccount(Record):
             raise ValueError(f"gdp must be non-negative, got {gdp!r}")
         set_field(self, "gdp", gdp)
         for name, rate in (("gfcf_rate", gfcf_rate), ("cfc_rate", cfc_rate)):
-            rate = float(rate)
+            rate = check_real(rate, name)
             if not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a fraction in [0, 1], got {rate!r}")
             set_field(self, name, rate)
@@ -119,7 +119,7 @@ class EconomicAccount(Record):
             raise ValueError("sector value sum overflows to infinity")
         set_field(self, "sectors", sectors)
         if services_share is not None:
-            services_share = float(services_share)
+            services_share = check_real(services_share, "services_share")
             if not math.isfinite(services_share) or not 0.0 <= services_share <= 1.0:
                 raise ValueError(
                     f"services_share must be a fraction in [0, 1], got {services_share!r}"

@@ -129,3 +129,48 @@ def scale_economy(economy: EconomicAccount, factor: float) -> EconomicAccount:
         ),
         services_share=economy.services_share,
     )
+
+
+def reference_steps(fields: dict, sector_values: list, categories: list, steps: list) -> tuple:
+    """Apply scenario steps to plain dicts, one op at a time, as docs/file-formats.md defines them.
+
+    ``steps`` are ``(op, parameter)`` pairs as a scenario document writes
+    them.  Returns ``(index, None, None)`` for the first step whose
+    precondition fails, else ``(None, masses, sector_values)``.  Each new
+    value is computed the way the op is worded, so results compare with ``==``.
+    """
+    mass = dict(fields)
+    original_values = list(sector_values)
+    values = list(sector_values)
+    for index, (op, parameter) in enumerate(steps):
+        if op == "set_recovery_rate":
+            # recycled becomes f x (structural - stock additions); the change leaves the waste bin
+            recycled = parameter * (mass["structural_input"] - mass["net_stock_additions"])
+            waste = mass["waste_output"] - (recycled - mass["recycled_input"])
+            if waste < 0:
+                return index, None, None
+            mass["recycled_input"], mass["waste_output"] = recycled, waste
+        elif op == "divert_waste_to_stock":
+            # f x waste moves into stock additions, which may not pass structural input
+            moved = parameter * mass["waste_output"]
+            stock = mass["net_stock_additions"] + moved
+            if stock > mass["structural_input"]:
+                return index, None, None
+            mass["waste_output"] -= moved
+            mass["net_stock_additions"] = stock
+        elif op == "replace_energetic_with_stock":
+            # f x energetic becomes structural input added to stocks
+            moved = parameter * mass["energetic_input"]
+            mass["energetic_input"] -= moved
+            mass["structural_input"] += moved
+            mass["net_stock_additions"] += moved
+        else:
+            # on: reverse-flow values from their originals x current / original recycled
+            if parameter == "on" and fields["recycled_input"] <= 0:
+                return index, None, None
+            factor = mass["recycled_input"] / fields["recycled_input"] if parameter == "on" else 1.0
+            values = [
+                original * factor if category == "reverse_flow" else value
+                for value, original, category in zip(values, original_values, categories)
+            ]
+    return None, mass, values

@@ -24,7 +24,7 @@ from circuflow import (
     validate,
     waste_share,
 )
-from support import random_economy, random_valid_account, scale_account
+from support import random_economy, random_valid_account, reference_steps, scale_account
 
 N = 1000
 
@@ -304,6 +304,82 @@ def test_random_step_compositions_conserve_mass():
             expected, abs=1e-9 * max(1.0, float(account.total_input))
         )
     assert applied > N // 2  # the fuzz must mostly exercise the success path
+
+
+def test_step_chains_match_the_plain_dict_reference_exactly():
+    """8-64-step chains of the four ops equal a step-by-step reference, field by field.
+
+    About one account in five gets a lean waste bin and one in ten no
+    reverse flow, so chains also break preconditions; those compare by the
+    index of the step that breaks.  Exact ``==`` guards each op computing its new bin
+    values as worded, not as ``old +/- amount``.
+    """
+    from circuflow import (
+        DivertWasteToStock,
+        MetricDomainError,
+        OverAttributionError,
+        ReplaceEnergeticWithStock,
+        ScaleReverseFlowValue,
+        ScenarioError,
+    )
+    from circuflow.accounts import MASS_FIELDS
+    from circuflow.scenarios import OP_NAMES
+
+    rng = random.Random(118)
+    step_makers = (
+        lambda r: SetRecoveryRate(r.choice((r.random(), 1.0))),
+        lambda r: DivertWasteToStock(r.random() * r.choice((0.05, 0.3))),
+        lambda r: ReplaceEnergeticWithStock(r.random() * 0.2),
+        lambda r: ScaleReverseFlowValue(r.random() < 0.7),
+    )
+
+    def written(step):
+        if type(step) is ScaleReverseFlowValue:
+            return "on" if step.enabled else "off"
+        return step.fraction
+
+    outcomes = {"applied": 0, "broken": 0, "report_error": 0}
+    for _ in range(N):
+        account = random_valid_account(rng)
+        roll = rng.random()
+        if roll < 0.2:
+            kept = rng.uniform(0.0, 0.3) * account.waste_output
+            account = account.replace(
+                waste_output=kept,
+                emissions_output=account.emissions_output + (account.waste_output - kept),
+            )
+        elif roll < 0.3:
+            account = account.replace(recycled_input=0.0)
+        economy = random_economy(rng)
+        steps = tuple(rng.choice(step_makers)(rng) for _ in range(rng.randint(8, 64)))
+        broken_at, masses, values = reference_steps(
+            {name: getattr(account, name) for name in MASS_FIELDS},
+            [sector.value for sector in economy.sectors],
+            [sector.category for sector in economy.sectors],
+            [(OP_NAMES[type(step)], written(step)) for step in steps],
+        )
+        try:
+            result = apply_scenario(account, economy, Scenario("chain", steps))
+        except ScenarioError as exc:
+            assert broken_at is not None and exc.step_index == broken_at, str(exc)
+            outcomes["broken"] += 1
+            continue
+        except (MetricDomainError, OverAttributionError) as exc:
+            # the reports on the reference's final state fail the same way
+            expected_economy = economy.replace(
+                sectors=tuple(s.replace(value=v) for s, v in zip(economy.sectors, values))
+            )
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                metric_suite(account.replace(**masses))
+                attribute_value(expected_economy)
+            outcomes["report_error"] += 1
+            continue
+        assert broken_at is None
+        for name in MASS_FIELDS:
+            assert getattr(result.account, name) == masses[name], name
+        assert [sector.value for sector in result.economy.sectors] == values
+        outcomes["applied"] += 1
+    assert min(outcomes.values()) > N // 20, outcomes
 
 
 def test_round_half_away_matches_exact_oracle_across_magnitudes():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from circuflow import (
     metric_suite,
     validate,
 )
+from circuflow.accounts import MASS_FIELDS
 from circuflow.documents import parse_account, parse_economy, parse_scenario
 from circuflow.render import RenderSpec
 from support import ACCOUNT_PATH, ECONOMY_PATH, FULL_RECOVERY_PATH
@@ -136,3 +138,44 @@ def test_pickle_and_copy_round_trip(record):
     assert pickle.loads(pickle.dumps(record)) == record
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
+
+
+# Every numeric slot that outside input reaches, each on a record holding valid values.
+NUMERIC_SLOTS = [
+    *((ACCOUNT, name) for name in MASS_FIELDS + ("balance_tolerance",)),
+    *((ECONOMY, name) for name in ("gdp", "gfcf_rate", "cfc_rate", "services_share")),
+    (ECONOMY.sectors[0], "value"),
+    (SetRecoveryRate(0.5), "fraction"),
+    (DivertWasteToStock(0.25), "fraction"),
+    (ReplaceEnergeticWithStock(0.1), "fraction"),
+]
+
+
+def _slot_id(item) -> str:
+    return item if isinstance(item, str) else type(item).__name__
+
+
+@pytest.mark.parametrize(
+    "record, name, value",
+    [
+        (record, name, value)
+        for record, name in NUMERIC_SLOTS
+        for value in ("1", True, None, 1j)
+        if not (name == "services_share" and value is None)
+    ],
+    ids=_slot_id,
+)
+def test_numeric_slots_reject_values_that_are_not_real_numbers(record, name, value):
+    with pytest.raises(ValueError, match=f"must be a real number, got {re.escape(repr(value))}"):
+        record.replace(**{name: value})
+
+
+@pytest.mark.parametrize("record, name", NUMERIC_SLOTS, ids=_slot_id)
+def test_numeric_slots_accept_ints_as_floats(record, name):
+    value = getattr(record.replace(**{name: 0}), name)
+    assert value == 0.0 and type(value) is float
+
+
+def test_an_int_too_large_for_a_float_is_named_as_infinite():
+    with pytest.raises(ValueError, match="mass must be finite"):
+        ACCOUNT.replace(waste_output=10**400)

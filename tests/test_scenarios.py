@@ -14,6 +14,7 @@ from circuflow import (
     ScenarioError,
     SetRecoveryRate,
     apply_scenario,
+    scenarios,
 )
 from support import reference_account
 
@@ -211,3 +212,23 @@ class TestScaleSemantics:
             ),
         )
         assert once.economy == twice.economy
+
+
+class TestConservationPerStep:
+    def test_a_leaking_move_is_named_by_its_step(self, account, economy, monkeypatch):
+        divert = scenarios._MOVES[DivertWasteToStock]
+
+        def leaking_divert(current, fraction):
+            amount, source, sink, values = divert(current, fraction)
+            # one more Gt leaves the waste bin than the move declares
+            values["waste_output"] -= 1.0
+            return amount, source, sink, values
+
+        monkeypatch.setitem(scenarios._MOVES, DivertWasteToStock, leaking_divert)
+        scenario = Scenario(
+            "leak", (SetRecoveryRate(0.5), DivertWasteToStock(0.2), SetRecoveryRate(0.5))
+        )
+        with pytest.raises(ScenarioError, match="mass not conserved") as info:
+            apply_scenario(account, economy, scenario)
+        assert info.value.step_index == 1
+        assert "step 1" in str(info.value)
