@@ -53,7 +53,6 @@ _EXPORTS = {
     "ValueAttribution": "valuemap",
     "attribute_value": "valuemap",
     "nfcf_rate": "valuemap",
-    "reverse_flow_gdp_share": "valuemap",
     "stock_addition_value": "valuemap",
 }
 

@@ -2,9 +2,10 @@
 
 Subcommands: validate, metrics, valuemap, scenario.  Exit codes:
 0 success (including pass-with-warning), 2 validation failure,
-3 computation error, 4 I/O or parse error.  The CIRCUFLOW_TOLERANCE
-environment variable overrides the default balance tolerance for account
-files that do not set one themselves.
+3 computation error, 4 I/O, parse or usage error (a malformed command
+line prints argparse's usage text and ``error:`` line).  The
+CIRCUFLOW_TOLERANCE environment variable overrides the default balance
+tolerance for account files that do not set one themselves.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .render import (
 
 if TYPE_CHECKING:
     from collections.abc import Callable
+
+    from .valuemap import EconomicAccount
 
 # metrics, valuemap and scenarios are imported inside the subcommands that
 # use them, so each call loads only the modules its subcommand runs.
@@ -96,6 +99,11 @@ def _require_valid(path: str, account: MaterialFlowAccount) -> None:
         raise _CliFailure(EXIT_VALIDATION, f"{path}: account fails validation\n{report.rstrip()}")
 
 
+def _warn_on_year_mismatch(account: MaterialFlowAccount, economy: EconomicAccount) -> None:
+    if economy.year != account.year:
+        warnings.warn(f"account year {account.year} differs from economy year {economy.year}")
+
+
 def _render_spec(args: argparse.Namespace) -> RenderSpec:
     try:
         return RenderSpec(
@@ -144,12 +152,7 @@ def _cmd_valuemap(args: argparse.Namespace) -> int:
     account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
     economy = _load(documents.parse_economy, args.economy)
     _require_valid(args.account, account)
-    if economy.year != account.year:
-        warnings.warn(
-            f"account year {account.year} differs from economy year {economy.year}",
-            UserWarning,
-            stacklevel=2,
-        )
+    _warn_on_year_mismatch(account, economy)
     spec = _render_spec(args)
     attribution = attribute_value(economy)
     sys.stdout.write(
@@ -171,6 +174,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     economy = _load(documents.parse_economy, args.economy)
     scenario = _load(documents.parse_scenario, args.scenario)
     _require_valid(args.account, account)
+    _warn_on_year_mismatch(account, economy)
     spec = _render_spec(args)
     baseline_report = metric_suite(account)
     baseline_attribution = attribute_value(economy)
@@ -251,7 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 after its usage and "error:" lines, but 2 means a failed
+        # validation here: a malformed command line exits 4.  --help exits 0.
+        if exc.code != 2:
+            raise
+        return EXIT_IO
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

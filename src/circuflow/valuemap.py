@@ -131,11 +131,22 @@ class EconomicAccount(Record):
         return sum((s.value for s in self.sectors if s.category == category), 0.0)
 
 
+def _gdp_share(category: str) -> property:
+    """A read-only ``ValueAttribution`` property: one entry of ``shares_by_category``."""
+    return property(
+        lambda self: self.shares_by_category()[category],
+        doc=f"The {category} value as a fraction of GDP (read-only, derived).",
+    )
+
+
 class ValueAttribution(Record):
     """Five-way partition of GDP; values in trillions, shares as fractions.
 
-    The five values sum to gdp by construction (legacy is the residual);
-    waste_value is identically zero.
+    Stored (``__slots__``): ``gdp`` and the four values that vary.  Derived
+    (read-only properties): ``waste_value``, identically zero, and the five
+    ``*_share`` names, each its value over ``gdp`` as given by
+    ``shares_by_category``, the one place that divides by GDP.  The five
+    values sum to gdp by construction (legacy is the residual).
     """
 
     __slots__ = (
@@ -143,13 +154,7 @@ class ValueAttribution(Record):
         "reverse_flow_value",
         "dissipative_flow_value",
         "stock_addition_value",
-        "waste_value",
         "legacy_stock_value",
-        "reverse_flow_share",
-        "dissipative_flow_share",
-        "stock_addition_share",
-        "waste_share",
-        "legacy_stock_share",
     )
 
     def __init__(
@@ -158,25 +163,21 @@ class ValueAttribution(Record):
         reverse_flow_value: float,
         dissipative_flow_value: float,
         stock_addition_value: float,
-        waste_value: float,
         legacy_stock_value: float,
-        reverse_flow_share: float,
-        dissipative_flow_share: float,
-        stock_addition_share: float,
-        waste_share: float,
-        legacy_stock_share: float,
     ) -> None:
         set_field(self, "gdp", gdp)
         set_field(self, "reverse_flow_value", reverse_flow_value)
         set_field(self, "dissipative_flow_value", dissipative_flow_value)
         set_field(self, "stock_addition_value", stock_addition_value)
-        set_field(self, "waste_value", waste_value)
         set_field(self, "legacy_stock_value", legacy_stock_value)
-        set_field(self, "reverse_flow_share", reverse_flow_share)
-        set_field(self, "dissipative_flow_share", dissipative_flow_share)
-        set_field(self, "stock_addition_share", stock_addition_share)
-        set_field(self, "waste_share", waste_share)
-        set_field(self, "legacy_stock_share", legacy_stock_share)
+
+    waste_value = property(lambda self: 0.0, doc="Unmanaged waste adds no value by definition.")
+
+    reverse_flow_share = _gdp_share("reverse_flow")
+    dissipative_flow_share = _gdp_share("dissipative_flow")
+    stock_addition_share = _gdp_share("stock_addition")
+    waste_share = _gdp_share("waste")
+    legacy_stock_share = _gdp_share("legacy_stock")
 
     def values_by_category(self) -> dict[str, float]:
         return {
@@ -188,13 +189,8 @@ class ValueAttribution(Record):
         }
 
     def shares_by_category(self) -> dict[str, float]:
-        return {
-            "reverse_flow": self.reverse_flow_share,
-            "dissipative_flow": self.dissipative_flow_share,
-            "stock_addition": self.stock_addition_share,
-            "waste": self.waste_share,
-            "legacy_stock": self.legacy_stock_share,
-        }
+        gdp = self.gdp
+        return {category: value / gdp for category, value in self.values_by_category().items()}
 
 
 def nfcf_rate(economy: EconomicAccount) -> float:
@@ -219,13 +215,6 @@ def stock_addition_value(economy: EconomicAccount) -> float:
     return nfcf_rate(economy) * economy.gdp
 
 
-def reverse_flow_gdp_share(economy: EconomicAccount) -> float:
-    """Share of GDP generated by reverse-flow (recovery) sectors."""
-    if economy.gdp <= 0:
-        raise UndefinedDenominatorError("gdp", "reverse_flow_gdp_share")
-    return economy.sector_total(CATEGORY_REVERSE_FLOW) / economy.gdp
-
-
 def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     """Partition GDP across flow categories and derive the legacy-stock residual.
 
@@ -241,8 +230,7 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     reverse = economy.sector_total(CATEGORY_REVERSE_FLOW)
     dissipative = economy.sector_total(CATEGORY_DISSIPATIVE_FLOW)
     stock = stock_addition_value(economy)
-    waste = 0.0  # unmanaged waste adds no value by definition
-    attributed = reverse + dissipative + stock + waste
+    attributed = reverse + dissipative + stock
     if not math.isfinite(attributed):
         raise CircuflowError(
             f"attributed value sum overflows to infinity (reverse flow {reverse:.6g} + "
@@ -259,11 +247,5 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
         reverse_flow_value=reverse,
         dissipative_flow_value=dissipative,
         stock_addition_value=stock,
-        waste_value=waste,
         legacy_stock_value=legacy,
-        reverse_flow_share=reverse / gdp,
-        dissipative_flow_share=dissipative / gdp,
-        stock_addition_share=stock / gdp,
-        waste_share=waste / gdp,
-        legacy_stock_share=legacy / gdp,
     )

@@ -315,11 +315,43 @@ class TestScenarioCommand:
         err = capsys.readouterr().err
         assert "full_recovery" in err and "step 0" in err
 
+    def test_year_mismatch_warns(self, tmp_path, capsys):
+        economy = tmp_path / "early.economy"
+        economy.write_text(ECONOMY_PATH.read_text().replace("year = 2020", "year = 2019"))
+        assert main(["scenario", ACCOUNT, str(economy), FULL_RECOVERY]) == 0
+        assert (
+            "warning: account year 2020 differs from economy year 2019\n"
+            in capsys.readouterr().err
+        )
+
     def test_machine_format(self, capsys):
         assert main(["scenario", ACCOUNT, ECONOMY, FULL_RECOVERY, "--format", "machine"]) == 0
         out = capsys.readouterr().out
         assert "after_real_rate = 1.0" in out
         assert "baseline_waste_gdp_share = 0.0" in out and "after_waste_gdp_share = 0.0" in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", ACCOUNT, "--round", "abc"],
+            ["metrics", ACCOUNT, "--format", "xml"],
+            ["valuemap", ACCOUNT],
+            ["frobnicate", ACCOUNT],
+        ],
+        ids=["round_abc", "format_xml", "missing_positional", "unknown_subcommand"],
+    )
+    def test_malformed_command_line_exits_4_with_usage(self, argv, capsys):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: circuflow") and "error: " in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: circuflow")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ swapped, joined or renamed, a value replaced by a hostile one, a BOM, CRLF
 endings, a truncation, bytes that are not UTF-8, a number scaled) or sets a hostile
 CIRCUFLOW_TOLERANCE, then runs ``cli.main``.  Whatever the input, the call
 must exit 0, 2, 3 or 4, explain a nonzero exit on stderr, and never let an
-exception escape.
+exception escape.  A second stream, seeded apart so the first is unchanged,
+breaks the command line itself; each such call must exit 4.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from circuflow import cli
 from support import ACCOUNT_PATH, ECONOMY_PATH, FULL_RECOVERY_PATH, WASTE_DIVERSION_PATH
 
 CALLS = 300
+MALFORMED_CALLS = 60
 
 SHIPPED = {
     "account": ACCOUNT_PATH.read_text(encoding="utf-8"),
@@ -122,3 +124,50 @@ def test_hostile_inputs_exit_with_a_documented_code_and_a_message(tmp_path, monk
         assert "Traceback" not in err, (argv, tolerance, err)
         codes.add(code)
     assert codes == {0, 2, 3, 4}
+
+
+def _malformed_argv(rng: random.Random, kind: int) -> list[str]:
+    """A well-formed command line broken one way; ``kind`` picks the way."""
+    paths = {
+        "account": str(ACCOUNT_PATH),
+        "economy": str(ECONOMY_PATH),
+        "scenario": str(FULL_RECOVERY_PATH),
+        "diversion": str(WASTE_DIVERSION_PATH),
+    }
+    argv = _argv(rng, paths)
+    positionals = {"validate": 1, "metrics": 1, "valuemap": 2, "scenario": 3}[argv[0]]
+    if kind == 0:
+        argv[0] = rng.choice(("", "Validate", "metricz", "valuemaps", "scenarios", "--frobnicate"))
+    elif kind == 1:
+        del argv[rng.randrange(1, 1 + positionals)]
+    elif kind == 2:
+        argv += ["--format", rng.choice(("xml", "PLAIN", "", "json", "svg"))]
+    elif kind == 3:
+        argv += ["--round", rng.choice(("abc", "1.5", "", "1e3", "0x10", "nan", "one"))]
+    elif kind == 4:
+        argv.append(rng.choice(("--format", "--round", "--svg")))
+    elif kind == 5:
+        argv.append(rng.choice(("--frobnicate", "--rounds", "--svgs", "-x", "--format=")))
+    else:
+        argv.insert(1 + positionals, str(ACCOUNT_PATH))
+    return argv
+
+
+def test_malformed_command_lines_exit_4_with_a_usage_error():
+    rng = random.Random(2028)
+    kinds = set()
+    for _ in range(MALFORMED_CALLS):
+        kind = rng.randrange(7)
+        argv = _malformed_argv(rng, kind)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        except (Exception, SystemExit) as exc:  # any escape is the failure under test
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = stderr.getvalue()
+        assert code == 4, (argv, code, err)
+        assert "error: " in err and "Traceback" not in err, (argv, err)
+        assert stdout.getvalue() == "", argv
+        kinds.add(kind)
+    assert kinds == set(range(7))

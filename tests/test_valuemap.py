@@ -9,9 +9,9 @@ from circuflow import (
     SectorValue,
     StockDepletionWarning,
     UndefinedDenominatorError,
+    ValueAttribution,
     attribute_value,
     nfcf_rate,
-    reverse_flow_gdp_share,
     stock_addition_value,
 )
 from support import reference_economy
@@ -55,8 +55,10 @@ class TestRecords:
         )
         attribution = attribute_value(economy)
         records = (economy.sectors[0], economy, attribution)
+        derived = ("waste_value", *(f"{c}_share" for c in attribution.shares_by_category()))
         for record in records:
-            for name in type(record).__slots__:
+            names = type(record).__slots__ + (derived if record is attribution else ())
+            for name in names:
                 value = getattr(record, name)
                 if name not in ("name", "category", "year", "sectors"):
                     assert type(value) is float, (type(record).__name__, name)
@@ -117,6 +119,20 @@ class TestAttributeValue:
         assert attribution.waste_share == 0.0
         assert attribution.legacy_stock_share == pytest.approx(0.6816, abs=5e-5)
 
+    def test_stores_gdp_and_the_values_that_vary(self):
+        assert ValueAttribution.__slots__ == (
+            "gdp",
+            "reverse_flow_value",
+            "dissipative_flow_value",
+            "stock_addition_value",
+            "legacy_stock_value",
+        )
+
+    def test_shares_follow_a_replaced_value(self, economy):
+        attribution = attribute_value(economy).replace(reverse_flow_value=43.0)
+        assert attribution.reverse_flow_share == 0.5
+        assert attribution.shares_by_category()["reverse_flow"] == 0.5
+
     def test_sums_to_gdp(self, economy):
         attribution = attribute_value(economy)
         assert sum(attribution.values_by_category().values()) == pytest.approx(86.0, abs=1e-9)
@@ -161,13 +177,13 @@ class TestAttributeValue:
 
 class TestReverseFlowShare:
     def test_reference(self, economy):
-        assert reverse_flow_gdp_share(economy) == pytest.approx(0.01395, abs=5e-5)
+        assert attribute_value(economy).reverse_flow_share == pytest.approx(0.01395, abs=5e-5)
 
     def test_zero_reverse_value(self):
         economy = reference_economy(
             sectors=(SectorValue("energy", 15.0, "dissipative_flow"),)
         )
-        assert reverse_flow_gdp_share(economy) == 0.0
+        assert attribute_value(economy).reverse_flow_share == 0.0
 
     def test_combined_flow_share(self, economy):
         combined = (
@@ -176,5 +192,5 @@ class TestReverseFlowShare:
         assert combined == pytest.approx(0.1884, abs=5e-5)
 
     def test_zero_gdp_is_undefined(self):
-        with pytest.raises(UndefinedDenominatorError):
-            reverse_flow_gdp_share(reference_economy(gdp=0.0))
+        with pytest.raises(UndefinedDenominatorError, match="attribute_value"):
+            attribute_value(reference_economy(gdp=0.0))
