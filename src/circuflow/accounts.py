@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
 from .errors import AccountInvariantError, UndefinedDenominatorError
-from .record import Record, check_real, set_field
+from .record import Record, check_fraction, check_mass, check_year, set_field
 
 DEFAULT_BALANCE_TOLERANCE = 0.05
 
@@ -52,16 +52,6 @@ MASS_FIELDS = (
 GT_PER_UNIT = {"t": 1e-9, "kt": 1e-6, "Mt": 1e-3, "Gt": 1.0}
 
 CANONICAL_MASS_UNIT = "Gt"
-
-
-def check_mass(value: float) -> float:
-    """Return ``value`` as a float mass in Gt/yr, rejecting non-finite or negative values."""
-    mass = check_real(value, "mass")
-    if not math.isfinite(mass):
-        raise ValueError(f"mass must be finite, got {value!r}")
-    if mass < 0:
-        raise ValueError(f"mass must be non-negative, got {value!r}")
-    return mass
 
 
 # Stable invariant codes, usable by callers to tell violations apart.
@@ -104,9 +94,7 @@ class MaterialFlowAccount(Record):
         net_stock_additions: float,
         balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE,
     ) -> None:
-        if isinstance(year, bool) or not isinstance(year, int):
-            raise ValueError(f"year must be an integer, got {year!r}")
-        set_field(self, "year", year)
+        set_field(self, "year", check_year(year))
         masses = (
             total_input,
             energetic_input,
@@ -128,10 +116,9 @@ class MaterialFlowAccount(Record):
             raise ValueError(
                 "mass sum emissions + waste + net_stock_additions overflows to infinity"
             )
-        tol = check_real(balance_tolerance, "balance_tolerance")
-        if not math.isfinite(tol) or not 0.0 <= tol <= 1.0:
-            raise ValueError(f"balance_tolerance must be a fraction in [0, 1], got {tol!r}")
-        set_field(self, "balance_tolerance", tol)
+        set_field(
+            self, "balance_tolerance", check_fraction(balance_tolerance, "balance_tolerance")
+        )
 
     def mass_residual(self) -> float:
         """Unexplained mass: total input minus the sum of the output bins."""

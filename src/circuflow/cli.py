@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from . import documents
 from .accounts import MaterialFlowAccount, validate, waste_share
 from .errors import CircuflowError, DocumentError
+from .record import check_fraction
 from .render import (
     FORMAT_PLAIN,
     FORMATS,
@@ -65,11 +66,10 @@ def _default_tolerance() -> float | None:
         raise _CliFailure(
             EXIT_IO, f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
         ) from None
-    if not 0.0 <= value <= 1.0:
-        raise _CliFailure(
-            EXIT_IO, f"{TOLERANCE_ENV_VAR} must be a fraction in [0, 1], got {value!r}"
-        )
-    return value
+    try:
+        return check_fraction(value, TOLERANCE_ENV_VAR)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_IO, str(exc)) from None
 
 
 def _load(parse: Callable[..., object], path: str, **options: Callable[[], object]):

@@ -18,18 +18,12 @@ reported.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import TYPE_CHECKING
 
-from .accounts import (
-    CANONICAL_MASS_UNIT,
-    GT_PER_UNIT,
-    MASS_FIELDS,
-    MaterialFlowAccount,
-    check_mass,
-)
+from .accounts import CANONICAL_MASS_UNIT, GT_PER_UNIT, MASS_FIELDS, MaterialFlowAccount
 from .errors import DocumentError, ProvenanceWarning
+from .record import check_fraction, check_mass, check_money
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
@@ -68,10 +62,7 @@ def _parse_float(text: str, key: str) -> float:
 
 
 def _parse_fraction(text: str, key: str) -> float:
-    value = _parse_float(text, key)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"must be a fraction in [0, 1], got {value!r}")
-    return value
+    return check_fraction(_parse_float(text, key), key)
 
 
 def _parse_mass(text: str, key: str) -> float:
@@ -81,10 +72,7 @@ def _parse_mass(text: str, key: str) -> float:
 
 
 def _parse_money(text: str, key: str) -> float:
-    value = _parse_float(text, key)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{key} must be non-negative and finite, got {value!r}")
-    return value
+    return check_money(_parse_float(text, key), key)
 
 
 def _parse_unit(text: str, key: str) -> str:

@@ -29,7 +29,7 @@ from .accounts import (
     format_percent,
     round_half_away,
 )
-from .record import Record, set_field
+from .record import Record, check_bool, check_choice, set_field
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -94,18 +94,12 @@ class RenderSpec(Record):
         rounding: int = 1,
         include_provenance_footnotes: bool = True,
     ) -> None:
-        if format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+        set_field(self, "format", check_choice(format, FORMATS, "format"))
         if isinstance(rounding, bool) or not isinstance(rounding, int) or rounding < 0:
             raise ValueError(f"rounding must be a non-negative integer, got {rounding!r}")
-        if not isinstance(include_provenance_footnotes, bool):
-            raise ValueError(
-                "include_provenance_footnotes must be a bool, "
-                f"got {include_provenance_footnotes!r}"
-            )
-        set_field(self, "format", format)
         set_field(self, "rounding", rounding)
-        set_field(self, "include_provenance_footnotes", include_provenance_footnotes)
+        footnotes = check_bool(include_provenance_footnotes, "include_provenance_footnotes")
+        set_field(self, "include_provenance_footnotes", footnotes)
 
 
 def format_percent_delta(delta_fraction: float, places: int) -> str:

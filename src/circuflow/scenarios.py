@@ -11,26 +11,11 @@ sink is an output bin)``; the engine checks that rule after every step.
 
 from __future__ import annotations
 
-import math
-
 from .accounts import MASS_BALANCE, MaterialFlowAccount, annually_recoverable_input, validate
 from .errors import ScenarioError
 from .metrics import CircularityReport, metric_suite
-from .record import Record, check_real, set_field
-from .valuemap import (
-    CATEGORY_REVERSE_FLOW,
-    EconomicAccount,
-    ValueAttribution,
-    attribute_value,
-    check_name,
-)
-
-
-def _check_fraction(value: float) -> float:
-    v = check_real(value, "fraction")
-    if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {value!r}")
-    return v
+from .record import Record, check_bool, check_fraction, check_name, set_field
+from .valuemap import CATEGORY_REVERSE_FLOW, EconomicAccount, ValueAttribution, attribute_value
 
 
 class SetRecoveryRate(Record):
@@ -43,7 +28,7 @@ class SetRecoveryRate(Record):
     __slots__ = ("fraction",)
 
     def __init__(self, fraction: float) -> None:
-        set_field(self, "fraction", _check_fraction(fraction))
+        set_field(self, "fraction", check_fraction(fraction, "fraction"))
 
 
 class DivertWasteToStock(Record):
@@ -52,7 +37,7 @@ class DivertWasteToStock(Record):
     __slots__ = ("fraction",)
 
     def __init__(self, fraction: float) -> None:
-        set_field(self, "fraction", _check_fraction(fraction))
+        set_field(self, "fraction", check_fraction(fraction, "fraction"))
 
 
 class ReplaceEnergeticWithStock(Record):
@@ -66,7 +51,7 @@ class ReplaceEnergeticWithStock(Record):
     __slots__ = ("fraction",)
 
     def __init__(self, fraction: float) -> None:
-        set_field(self, "fraction", _check_fraction(fraction))
+        set_field(self, "fraction", check_fraction(fraction, "fraction"))
 
 
 class ScaleReverseFlowValue(Record):
@@ -83,9 +68,7 @@ class ScaleReverseFlowValue(Record):
     __slots__ = ("enabled",)
 
     def __init__(self, enabled: bool = True) -> None:
-        if not isinstance(enabled, bool):
-            raise ValueError(f"enabled must be a bool, got {enabled!r}")
-        set_field(self, "enabled", enabled)
+        set_field(self, "enabled", check_bool(enabled, "enabled"))
 
 
 Transformation = (
@@ -108,13 +91,12 @@ class Scenario(Record):
     __slots__ = ("name", "steps")
 
     def __init__(self, name: str, steps: tuple[Transformation, ...] = ()) -> None:
-        check_name(name, "scenario")
+        set_field(self, "name", check_name(name, "scenario"))
         steps = tuple(steps)
         for step in steps:
             if type(step) not in OP_NAMES:
                 known = ", ".join(cls.__name__ for cls in OP_NAMES)
                 raise ValueError(f"scenario step must be one of {known}, got {step!r}")
-        set_field(self, "name", name)
         set_field(self, "steps", steps)
 
 

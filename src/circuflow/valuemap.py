@@ -20,7 +20,15 @@ from .errors import (
     StockDepletionWarning,
     UndefinedDenominatorError,
 )
-from .record import Record, check_real, set_field
+from .record import (
+    Record,
+    check_choice,
+    check_fraction,
+    check_money,
+    check_name,
+    check_year,
+    set_field,
+)
 
 CATEGORY_REVERSE_FLOW = "reverse_flow"
 CATEGORY_DISSIPATIVE_FLOW = "dissipative_flow"
@@ -34,50 +42,15 @@ DEFAULT_CFC_RATE = 0.13
 _ATTRIBUTION_REL = 1e-9
 
 
-def _check_money(value: float) -> float:
-    """Return ``value`` as a float in trillions/yr, rejecting non-finite values.
-
-    Money may be signed (net capital formation is negative in a year of
-    stock depletion); records that need non-negativity check it themselves.
-    """
-    money = check_real(value, "monetary value")
-    if not math.isfinite(money):
-        raise ValueError(f"monetary value must be finite, got {value!r}")
-    return money
-
-
-def check_name(name: str, what: str, forbidden: str = "#") -> None:
-    """Reject a name that a document would not read back unchanged.
-
-    Documents strip whitespace around values, start a comment at ``#`` and
-    end an entry at any line break that ``str.splitlines`` recognises.
-    """
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"{what} name must be a non-empty string, got {name!r}")
-    if name != name.strip() or name.splitlines() != [name] or any(c in name for c in forbidden):
-        raise ValueError(
-            f"{what} name {name!r} must not start or end with whitespace, "
-            f"nor contain a line break or any of {forbidden!r}"
-        )
-
-
 class SectorValue(Record):
     """Annual value a sector adds, tagged with the flow category it rides on."""
 
     __slots__ = ("name", "value", "category")
 
     def __init__(self, name: str, value: float, category: str) -> None:
-        check_name(name, "sector", forbidden="#,")
-        value = _check_money(value)
-        if value < 0:
-            raise ValueError(f"sector value must be non-negative, got {value!r}")
-        if category not in SECTOR_CATEGORIES:
-            raise ValueError(
-                f"sector category must be one of {SECTOR_CATEGORIES}, got {category!r}"
-            )
-        set_field(self, "name", name)
-        set_field(self, "value", value)
-        set_field(self, "category", category)
+        set_field(self, "name", check_name(name, "sector", forbidden="#,"))
+        set_field(self, "value", check_money(value, "sector value"))
+        set_field(self, "category", check_choice(category, SECTOR_CATEGORIES, "sector category"))
 
 
 class EconomicAccount(Record):
@@ -97,18 +70,10 @@ class EconomicAccount(Record):
         sectors: tuple[SectorValue, ...] = (),
         services_share: float | None = None,
     ) -> None:
-        if isinstance(year, bool) or not isinstance(year, int):
-            raise ValueError(f"year must be an integer, got {year!r}")
-        set_field(self, "year", year)
-        gdp = _check_money(gdp)
-        if gdp < 0:
-            raise ValueError(f"gdp must be non-negative, got {gdp!r}")
-        set_field(self, "gdp", gdp)
-        for name, rate in (("gfcf_rate", gfcf_rate), ("cfc_rate", cfc_rate)):
-            rate = check_real(rate, name)
-            if not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be a fraction in [0, 1], got {rate!r}")
-            set_field(self, name, rate)
+        set_field(self, "year", check_year(year))
+        set_field(self, "gdp", check_money(gdp, "gdp"))
+        set_field(self, "gfcf_rate", check_fraction(gfcf_rate, "gfcf_rate"))
+        set_field(self, "cfc_rate", check_fraction(cfc_rate, "cfc_rate"))
         sectors = tuple(sectors)
         for sector in sectors:
             if not isinstance(sector, SectorValue):
@@ -119,11 +84,7 @@ class EconomicAccount(Record):
             raise ValueError("sector value sum overflows to infinity")
         set_field(self, "sectors", sectors)
         if services_share is not None:
-            services_share = check_real(services_share, "services_share")
-            if not math.isfinite(services_share) or not 0.0 <= services_share <= 1.0:
-                raise ValueError(
-                    f"services_share must be a fraction in [0, 1], got {services_share!r}"
-                )
+            services_share = check_fraction(services_share, "services_share")
         set_field(self, "services_share", services_share)
 
     def sector_total(self, category: str) -> float:
@@ -146,7 +107,9 @@ class ValueAttribution(Record):
     (read-only properties): ``waste_value``, identically zero, and the five
     ``*_share`` names, each its value over ``gdp`` as given by
     ``shares_by_category``, the one place that divides by GDP.  The five
-    values sum to gdp by construction (legacy is the residual).
+    values sum to gdp by construction (legacy is the residual).  Every value
+    is finite; ``gdp`` is positive, and only ``stock_addition_value`` may be
+    negative (net stock depletion).
     """
 
     __slots__ = (
@@ -165,11 +128,15 @@ class ValueAttribution(Record):
         stock_addition_value: float,
         legacy_stock_value: float,
     ) -> None:
+        gdp = check_money(gdp, "gdp", signed=True)
+        if gdp <= 0:
+            raise ValueError(f"gdp must be positive; every GDP share divides by it, got {gdp!r}")
         set_field(self, "gdp", gdp)
-        set_field(self, "reverse_flow_value", reverse_flow_value)
-        set_field(self, "dissipative_flow_value", dissipative_flow_value)
-        set_field(self, "stock_addition_value", stock_addition_value)
-        set_field(self, "legacy_stock_value", legacy_stock_value)
+        for name, value in zip(
+            self.__slots__[1:],
+            (reverse_flow_value, dissipative_flow_value, stock_addition_value, legacy_stock_value),
+        ):
+            set_field(self, name, check_money(value, name, signed=name == "stock_addition_value"))
 
     waste_value = property(lambda self: 0.0, doc="Unmanaged waste adds no value by definition.")
 

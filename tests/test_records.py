@@ -26,6 +26,7 @@ ACCOUNT = parse_account(ACCOUNT_PATH.read_text())
 ECONOMY = parse_economy(ECONOMY_PATH.read_text())
 SCENARIO = parse_scenario(FULL_RECOVERY_PATH.read_text())
 OUTCOME = validate(ACCOUNT)
+ATTRIBUTION = attribute_value(ECONOMY)
 
 # One instance of each of the 14 public record types.
 RECORDS = [
@@ -42,7 +43,7 @@ RECORDS = [
     apply_scenario(ACCOUNT, ECONOMY, SCENARIO),
     ECONOMY.sectors[0],
     ECONOMY,
-    attribute_value(ECONOMY),
+    ATTRIBUTION,
 ]
 
 by_class = pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -148,6 +149,7 @@ NUMERIC_SLOTS = [
     (SetRecoveryRate(0.5), "fraction"),
     (DivertWasteToStock(0.25), "fraction"),
     (ReplaceEnergeticWithStock(0.1), "fraction"),
+    *((ATTRIBUTION, name) for name in type(ATTRIBUTION).__slots__[1:]),
 ]
 
 
@@ -179,3 +181,17 @@ def test_numeric_slots_accept_ints_as_floats(record, name):
 def test_an_int_too_large_for_a_float_is_named_as_infinite():
     with pytest.raises(ValueError, match="mass must be finite"):
         ACCOUNT.replace(waste_output=10**400)
+
+
+@pytest.mark.parametrize("gdp", [0, 0.0, -0.0, -1.0])
+def test_attribution_gdp_must_be_positive(gdp):
+    with pytest.raises(ValueError, match="gdp must be positive; every GDP share divides by it"):
+        ATTRIBUTION.replace(gdp=gdp)
+
+
+def test_attribution_values_must_be_finite():
+    with pytest.raises(ValueError, match="monetary value must be finite, got inf"):
+        ATTRIBUTION.replace(gdp=float("inf"))
+    with pytest.raises(ValueError, match="monetary value must be finite, got nan"):
+        ATTRIBUTION.replace(stock_addition_value=float("nan"))
+    assert ATTRIBUTION.replace(stock_addition_value=-2.58).stock_addition_value == -2.58
