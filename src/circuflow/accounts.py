@@ -2,7 +2,7 @@
 
 All masses are annual aggregates in Gt/yr.  The account keeps two books:
 
-    total_input = energetic_input + structural_input                (exact)
+    total_input = energetic_input + structural_input     (up to float dust)
     total_input ~ emissions_output + waste_output + net_stock_additions
 
 The second identity is approximate: published aggregates are rounded, so a
@@ -28,15 +28,13 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
 from .errors import AccountInvariantError, UndefinedDenominatorError
-from .record import Record, check_fraction, check_mass, check_year, set_field
+from .record import Record, check_fraction, check_mass, check_year, float_dust, set_field
 
 DEFAULT_BALANCE_TOLERANCE = 0.05
 
 # Residuals at or below this share of total input count as exactly balanced;
 # absorbs float rounding when accounts are scaled or rebuilt from parts.
 _EXACT_BALANCE_REL = 1e-12
-# The category identity is "exact" up to the same kind of float drift.
-_CATEGORY_REL = 1e-9
 
 MASS_FIELDS = (
     "total_input",
@@ -215,7 +213,7 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     )
 
     category_gap = account.energetic_input + account.structural_input - total
-    category_ok = abs(category_gap) <= _CATEGORY_REL * max(total, 1.0)
+    category_ok = abs(category_gap) <= float_dust(total)
     checks.append(
         CheckResult(
             CATEGORY_SUM,
@@ -258,16 +256,11 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     )
     if exactly_balanced:
         balance_message = "outputs sum exactly to total_input"
-    elif within_tolerance:
-        balance_message = (
-            f"unexplained residual {residual:.6g} Gt "
-            f"({format_percent(residual_share, 2)} of total input) within the "
-            f"{_percent(account.balance_tolerance)} tolerance"
-        )
     else:
         balance_message = (
             f"unexplained residual {residual:.6g} Gt "
-            f"({format_percent(residual_share, 2)} of total input) exceeds the "
+            f"({format_percent(residual_share, 2)} of total input) "
+            f"{'within' if within_tolerance else 'exceeds'} the "
             f"{_percent(account.balance_tolerance)} tolerance"
         )
     checks.append(

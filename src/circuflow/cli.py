@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from . import documents
 from .accounts import MaterialFlowAccount, validate, waste_share
 from .errors import CircuflowError, DocumentError
-from .record import check_fraction
 from .render import (
     FORMAT_PLAIN,
     FORMATS,
@@ -61,13 +60,7 @@ def _default_tolerance() -> float | None:
     if raw is None:
         return None
     try:
-        value = float(raw)
-    except ValueError:
-        raise _CliFailure(
-            EXIT_IO, f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
-        ) from None
-    try:
-        return check_fraction(value, TOLERANCE_ENV_VAR)
+        return documents._parse_fraction(raw, TOLERANCE_ENV_VAR)
     except ValueError as exc:
         raise _CliFailure(EXIT_IO, str(exc)) from None
 

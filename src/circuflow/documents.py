@@ -51,14 +51,14 @@ def _parse_int(text: str, key: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
 
 
 def _parse_float(text: str, key: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"not a number: {text!r}") from None
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
 
 
 def _parse_fraction(text: str, key: str) -> float:
@@ -212,7 +212,7 @@ def render_account(account: MaterialFlowAccount) -> str:
 
 
 def _parse_sector(valuemap: ModuleType, name: str, value: str, category: str) -> SectorValue:
-    return valuemap.SectorValue(name, _parse_float(value, "sector"), category)
+    return valuemap.SectorValue(name, _parse_float(value, "sector value"), category)
 
 
 def parse_economy(text: str) -> EconomicAccount:
@@ -257,7 +257,7 @@ def _parse_step(scenarios: ModuleType, op: str, parameter: str) -> Transformatio
         if parameter not in ("on", "off"):
             raise ValueError(f"expected 'on' or 'off', got {parameter!r}")
         return cls(enabled=parameter == "on")
-    return cls(fraction=_parse_float(parameter, "step"))
+    return cls(fraction=_parse_float(parameter, "fraction"))
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .accounts import MaterialFlowAccount
 from .errors import MetricDomainError, UndefinedDenominatorError
-from .record import Record, set_field
+from .record import Record, float_dust, set_field
 
 
 class CircularityReport(Record):
@@ -118,12 +118,6 @@ def potential_ceiling(account: MaterialFlowAccount) -> float:
     return recoverable / total
 
 
-# The category identity (structural vs total - energetic) is exact only up
-# to this relative drift; rates overshooting 1 by no more than the drift,
-# amplified by total / denominator, are float noise and snap to 1.
-_IDENTITY_REL = 1e-9
-
-
 def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
     """Assemble the four metrics and the denominators they divide by.
 
@@ -140,7 +134,7 @@ def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
     }
     snapped = {}
     for name, (rate, denominator) in rates.items():
-        noise = _IDENTITY_REL * max(total, 1.0) / denominator
+        noise = float_dust(total) / denominator
         if 1.0 < rate <= 1.0 + noise:
             rate = 1.0
         elif not 0.0 <= rate <= 1.0:

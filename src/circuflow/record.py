@@ -12,6 +12,11 @@ and the CLI all call these, so one rule gives one message wherever a value
 enters.  The numeric checkers take a ``float`` as it is and hand anything
 else to ``check_real``, so a float field costs one call: scenario steps
 rebuild an account, and run every mass check again, on each step.
+
+The float-dust rule is stated here too.  Identities that hold exactly in
+real arithmetic (energetic + structural = total, the categories summing to
+GDP, mass conserved by a scenario step, a rate of at most 1) are judged with
+``float_dust(scale)`` of slack, so that adding rounded floats cannot fail them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ _R = TypeVar("_R", bound="Record")
 
 #: Stores a field on a record under construction (``Record.__setattr__`` refuses).
 set_field = object.__setattr__
+
+
+def float_dust(scale: float) -> float:
+    """The gap forgiven in an exact identity over quantities of size ``scale``."""
+    return 1e-9 * max(scale, 1.0)
 
 
 def check_real(value: object, what: str) -> float:

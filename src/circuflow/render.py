@@ -77,13 +77,19 @@ _SCENARIO_VALUE_ROWS = tuple((label, f"{category}_value") for category, label, _
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
 
 
+# Most decimal places a report may ask for.  No float's ``repr`` has a digit
+# past the 324th decimal place, so the bound hides none; far larger values
+# overflow the exponent range of the decimal arithmetic that rounds.
+_MAX_ROUNDING = 400
+
+
 class RenderSpec(Record):
     """How to render a report.
 
-    ``rounding`` is the number of decimal places for percentages (and, for
-    table consistency, masses and money).  Rounding is half-away-from-zero:
-    half-way values round up in magnitude, so e.g. 61.5% prints as 62% at
-    zero places, never 61%.
+    ``rounding`` is the number of decimal places, at most 400, for
+    percentages (and, for table consistency, masses and money).  Rounding
+    is half-away-from-zero: half-way values round up in magnitude, so e.g.
+    61.5% prints as 62% at zero places, never 61%.
     """
 
     __slots__ = ("format", "rounding", "include_provenance_footnotes")
@@ -97,6 +103,8 @@ class RenderSpec(Record):
         set_field(self, "format", check_choice(format, FORMATS, "format"))
         if isinstance(rounding, bool) or not isinstance(rounding, int) or rounding < 0:
             raise ValueError(f"rounding must be a non-negative integer, got {rounding!r}")
+        if rounding > _MAX_ROUNDING:
+            raise ValueError(f"rounding must be at most {_MAX_ROUNDING}, got {rounding!r}")
         set_field(self, "rounding", rounding)
         footnotes = check_bool(include_provenance_footnotes, "include_provenance_footnotes")
         set_field(self, "include_provenance_footnotes", footnotes)

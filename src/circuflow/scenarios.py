@@ -14,7 +14,7 @@ from __future__ import annotations
 from .accounts import MASS_BALANCE, MaterialFlowAccount, annually_recoverable_input, validate
 from .errors import ScenarioError
 from .metrics import CircularityReport, metric_suite
-from .record import Record, check_bool, check_fraction, check_name, set_field
+from .record import Record, check_bool, check_fraction, check_name, float_dust, set_field
 from .valuemap import CATEGORY_REVERSE_FLOW, EconomicAccount, ValueAttribution, attribute_value
 
 
@@ -185,7 +185,7 @@ def apply_scenario(
 
     current, current_economy = account, economy
     expected_residual = baseline.residual
-    slack = 1e-9 * max(account.total_input, 1.0)  # no move changes total_input
+    slack = float_dust(account.total_input)  # no move changes total_input
     log: list[tuple[Transformation, float]] = []  # each step with its Gt moved or value factor
 
     for index, step in enumerate(scenario.steps):

@@ -27,6 +27,7 @@ from .record import (
     check_money,
     check_name,
     check_year,
+    float_dust,
     set_field,
 )
 
@@ -36,10 +37,6 @@ SECTOR_CATEGORIES = (CATEGORY_REVERSE_FLOW, CATEGORY_DISSIPATIVE_FLOW)
 
 #: Consumption-of-fixed-capital rate assumed when a dataset does not carry one.
 DEFAULT_CFC_RATE = 0.13
-
-# Slack for "attributed <= gdp" comparisons; economies whose categories sum
-# exactly to GDP must not trip the over-attribution error on float dust.
-_ATTRIBUTION_REL = 1e-9
 
 
 class SectorValue(Record):
@@ -204,7 +201,7 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
             f"dissipative flow {dissipative:.6g} + stock additions {stock:.6g} trillion)"
         )
     excess = attributed - gdp
-    if excess > _ATTRIBUTION_REL * max(gdp, 1.0):
+    if excess > float_dust(gdp):
         raise OverAttributionError(excess)
     legacy = gdp - attributed
     if legacy < 0:

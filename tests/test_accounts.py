@@ -14,6 +14,7 @@ from circuflow import (
     waste_share,
 )
 from circuflow.accounts import MASS_FIELDS
+from circuflow.record import float_dust
 from support import reference_account
 
 
@@ -91,6 +92,10 @@ class TestValidate:
         outcome = validate(account)
         assert outcome.status is ValidationStatus.FAIL
         assert any(v.invariant == "category_sum" for v in outcome.violations)
+        dust = float_dust(104.0)
+        for gap, forgiven in ((dust / 2, True), (2 * dust, False)):
+            outcome = validate(reference_account(structural_input=64.0 + gap))
+            assert any(v.invariant == "category_sum" for v in outcome.violations) is not forgiven
 
     def test_recycled_above_structural_fails(self):
         outcome = validate(reference_account(recycled_input=65.0))

@@ -74,7 +74,7 @@ class TestParseAccount:
             parse_account(ACCOUNT_TEXT + "\nyear = 2021\n")
 
     def test_not_a_number(self):
-        with pytest.raises(DocumentError, match="not a number"):
+        with pytest.raises(DocumentError, match="total_input must be a number, got 'many'"):
             parse_account(ACCOUNT_TEXT.replace("total_input = 104", "total_input = many"))
 
     def test_garbage_line(self):

@@ -1,7 +1,9 @@
 """One message per field rule, wherever a value enters.
 
 A value that breaks a rule is fed to every site that judges it: a record
-field, a document key, a scenario step and the CLI's environment.  Each
+field, a document key, a scenario step and the CLI's environment.  Text
+that does not read as a number or an integer is judged by the same rule in
+a document and in ``CIRCUFLOW_TOLERANCE``.  Each
 message is the site's prefix (none for a record, ``line N, field 'k': ``
 for a document, ``error: `` for the CLI), then the field name, then the
 rule's one wording.
@@ -139,3 +141,55 @@ MONEY_SITES = [
 def test_money_out_of_range_reads_the_same_at_every_site(site, name, bad, rule):
     message, prefix = site(bad)
     assert message == prefix + rule.format(name=name)
+
+
+NUMBER_RULE = "must be a number, got 'x'"
+
+NUMBER_SITES = [
+    pytest.param(
+        partial(_document, parse_account, ACCOUNT_TEXT, "total_input", "x"),
+        "total_input",
+        id="document-mass",
+    ),
+    pytest.param(
+        partial(_document, parse_account, ACCOUNT_TEXT, "balance_tolerance", "x"),
+        "balance_tolerance",
+        id="document-fraction",
+    ),
+    pytest.param(
+        partial(_document, parse_economy, ECONOMY_TEXT, "gdp", "x"), "gdp", id="document-money"
+    ),
+    pytest.param(
+        partial(_document, parse_economy, ECONOMY_TEXT, "sector", "x, x, reverse_flow"),
+        "sector value",
+        id="document-sector",
+    ),
+    pytest.param(
+        partial(_document, parse_scenario, SCENARIO_TEXT, "step", "divert_waste_to_stock, x"),
+        "fraction",
+        id="document-step",
+    ),
+]
+
+
+@pytest.mark.parametrize("site, name", NUMBER_SITES)
+def test_unreadable_number_text_reads_the_same_at_every_site(site, name):
+    message, prefix = site()
+    assert message == f"{prefix}{name} {NUMBER_RULE}"
+
+
+def test_unreadable_tolerance_from_the_environment_reads_the_same(monkeypatch, capsys):
+    monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, "x")
+    assert cli.main(["validate", str(ACCOUNT_PATH)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {cli.TOLERANCE_ENV_VAR} {NUMBER_RULE}\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_account, ACCOUNT_TEXT), (parse_economy, ECONOMY_TEXT)],
+    ids=["account", "economy"],
+)
+def test_a_year_that_is_not_an_integer_reads_the_same_in_a_document_and_a_record(parse, text):
+    message, prefix = _document(parse, text, "year", "2020.0")
+    assert message == f"{prefix}year must be an integer, got '2020.0'"
+    assert _record(reference_account, year=2020.0) == ("year must be an integer, got 2020.0", "")

@@ -30,8 +30,14 @@ for _name, _path in (("full_recovery", FULL_RECOVERY_PATH), ("waste_diversion", 
     )
 
 
+# ``tests/golden/<name>.svg`` is the chart that ``--svg`` writes for one call
+# below, captured at commit 79e4f0a.
+SVG_CALLS = {"metrics": ["metrics", ACCOUNT], "valuemap": ["valuemap", ACCOUNT, ECONOMY]}
+
+
 def test_every_golden_file_has_a_call():
     assert {path.stem for path in GOLDEN_DIR.glob("*.txt")} == set(CALLS)
+    assert {path.stem for path in GOLDEN_DIR.glob("*.svg")} == set(SVG_CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -39,3 +45,11 @@ def test_output_is_byte_identical(name, monkeypatch, capsysbinary):
     monkeypatch.delenv("CIRCUFLOW_TOLERANCE", raising=False)
     assert main(CALLS[name]) == 0
     assert capsysbinary.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SVG_CALLS))
+def test_svg_is_byte_identical(name, monkeypatch, tmp_path):
+    monkeypatch.delenv("CIRCUFLOW_TOLERANCE", raising=False)
+    chart = tmp_path / "chart.svg"
+    assert main(SVG_CALLS[name] + ["--svg", str(chart)]) == 0
+    assert chart.read_bytes() == (GOLDEN_DIR / f"{name}.svg").read_bytes()

@@ -143,7 +143,7 @@ def _malformed_argv(rng: random.Random, kind: int) -> list[str]:
     elif kind == 2:
         argv += ["--format", rng.choice(("xml", "PLAIN", "", "json", "svg"))]
     elif kind == 3:
-        argv += ["--round", rng.choice(("abc", "1.5", "", "1e3", "0x10", "nan", "one"))]
+        argv += ["--round", rng.choice(("abc", "1.5", "", "1e3", "0x10", "nan", "one", "5000000"))]
     elif kind == 4:
         argv.append(rng.choice(("--format", "--round", "--svg")))
     elif kind == 5:

@@ -12,6 +12,7 @@ from circuflow import (
     potential_ceiling,
     real_circularity,
 )
+from circuflow.record import float_dust
 from support import reference_account
 
 
@@ -162,3 +163,8 @@ class TestMetricSuite:
         account = reference_account(structural_input=64 + 5e-8, recycled_input=33 + 5e-8)
         report = metric_suite(account)
         assert report.real_rate == 1.0
+        # the pool is 33 Gt: an overshoot of float_dust(total) / 33 is forgiven
+        dust = float_dust(104.0)
+        assert metric_suite(reference_account(recycled_input=33 + dust / 2)).real_rate == 1.0
+        with pytest.raises(MetricDomainError, match="real_rate"):
+            metric_suite(reference_account(recycled_input=33 + 2 * dust))

@@ -86,6 +86,11 @@ class TestRenderSpec:
         with pytest.raises(ValueError, match="rounding"):
             RenderSpec(rounding=-1)
 
+    def test_rounding_is_bounded_at_400_places(self):
+        assert RenderSpec(rounding=400).rounding == 400
+        with pytest.raises(ValueError, match=r"^rounding must be at most 400, got 401$"):
+            RenderSpec(rounding=401)
+
     @pytest.mark.parametrize("rounding", [True, False])
     def test_rejects_bool_rounding(self, rounding):
         # bool is an int subclass; True used to print one decimal place

@@ -16,6 +16,7 @@ from circuflow import (
     apply_scenario,
     scenarios,
 )
+from circuflow.record import float_dust
 from support import reference_account
 
 
@@ -214,17 +215,21 @@ class TestScaleSemantics:
         assert once.economy == twice.economy
 
 
+def _leak_from_divert(monkeypatch, leak: float) -> None:
+    """Make every divert step take ``leak`` Gt more out of the waste bin than it declares."""
+    divert = scenarios._MOVES[DivertWasteToStock]
+
+    def leaking_divert(current, fraction):
+        amount, source, sink, values = divert(current, fraction)
+        values["waste_output"] -= leak
+        return amount, source, sink, values
+
+    monkeypatch.setitem(scenarios._MOVES, DivertWasteToStock, leaking_divert)
+
+
 class TestConservationPerStep:
     def test_a_leaking_move_is_named_by_its_step(self, account, economy, monkeypatch):
-        divert = scenarios._MOVES[DivertWasteToStock]
-
-        def leaking_divert(current, fraction):
-            amount, source, sink, values = divert(current, fraction)
-            # one more Gt leaves the waste bin than the move declares
-            values["waste_output"] -= 1.0
-            return amount, source, sink, values
-
-        monkeypatch.setitem(scenarios._MOVES, DivertWasteToStock, leaking_divert)
+        _leak_from_divert(monkeypatch, 1.0)
         scenario = Scenario(
             "leak", (SetRecoveryRate(0.5), DivertWasteToStock(0.2), SetRecoveryRate(0.5))
         )
@@ -232,3 +237,16 @@ class TestConservationPerStep:
             apply_scenario(account, economy, scenario)
         assert info.value.step_index == 1
         assert "step 1" in str(info.value)
+
+    @pytest.mark.parametrize("dusts, forgiven", [(0.5, True), (2.0, False)], ids=["half", "twice"])
+    def test_a_leak_is_judged_against_float_dust(
+        self, account, economy, monkeypatch, dusts, forgiven
+    ):
+        _leak_from_divert(monkeypatch, dusts * float_dust(account.total_input))
+        scenario = Scenario("dust", (DivertWasteToStock(0.2),))
+        if forgiven:
+            apply_scenario(account, economy, scenario)
+        else:
+            with pytest.raises(ScenarioError, match="mass not conserved") as info:
+                apply_scenario(account, economy, scenario)
+            assert info.value.step_index == 0

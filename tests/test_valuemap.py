@@ -14,6 +14,7 @@ from circuflow import (
     nfcf_rate,
     stock_addition_value,
 )
+from circuflow.record import float_dust
 from support import reference_economy
 
 
@@ -151,6 +152,16 @@ class TestAttributeValue:
         )
         attribution = attribute_value(economy)
         assert float(attribution.legacy_stock_value) == 0.0
+        dust = float_dust(economy.gdp)
+        for gap, forgiven in ((dust / 2, True), (2 * dust, False)):
+            edge = economy.replace(
+                sectors=(SectorValue("everything", 86.0 + gap, "dissipative_flow"),)
+            )
+            if forgiven:
+                assert attribute_value(edge).legacy_stock_value == 0.0
+            else:
+                with pytest.raises(OverAttributionError):
+                    attribute_value(edge)
 
     def test_over_attribution_reports_excess(self):
         economy = reference_economy(
