@@ -166,11 +166,18 @@ class ValidationOutcome(Record):
         return tuple(check for check in self.checks if not check.passed)
 
 
+# Most decimal places to round to: no float's ``repr`` has a digit past the 324th,
+# and far more places overflow the exponent range of the decimal arithmetic.
+MAX_PLACES = 400
+
+
 def round_half_away(value: float, places: int) -> float:
-    """Round to ``places`` decimals with ties going away from zero.
+    """Round to ``places`` decimals (0 to ``MAX_PLACES``) with ties going away from zero.
 
     Infinities and NaN have no digits to round and come back unchanged.
     """
+    if not 0 <= places <= MAX_PLACES:
+        raise ValueError(f"places must be from 0 to {MAX_PLACES}, got {places!r}")
     value = float(value)
     if not math.isfinite(value):
         return value

@@ -8,9 +8,11 @@ input is admitted to the denominator:
     real                  recycled / (total - energetic - net stock additions)
     potential ceiling     (total - energetic) / total
 
-Metrics return exact quotients; rounding to presentation percentages is the
-rendering layer's job.  Zero denominators raise named errors instead of
-collapsing to 0 or 1: a fully dissipative economy has no defined
+``DENOMINATORS`` and ``RATES`` are the one place each formula, label and
+error context is written; the functions here and the renderers read them.
+Metrics return exact quotients; rounding to presentation percentages is
+the rendering layer's job.  Zero denominators raise named errors instead
+of collapsing to 0 or 1: a fully dissipative economy has no defined
 circularity, which is worth saying out loud.
 """
 
@@ -20,19 +22,43 @@ from .accounts import MaterialFlowAccount
 from .errors import MetricDomainError, UndefinedDenominatorError
 from .record import Record, float_dust, set_field
 
+#: (report field, label, account fields: the first minus the rest), in report order.
+DENOMINATORS = (
+    ("denominator_total", "total input", ("total_input",)),
+    ("denominator_recoverable", "non-dissipative", ("total_input", "energetic_input")),
+    (
+        "denominator_annually_recoverable",
+        "annually recoverable",
+        ("total_input", "energetic_input", "net_stock_additions"),
+    ),
+)
+#: (rate key, label, error context, numerator field, denominator field), in report order.
+RATES = (
+    ("apparent", "apparent", "apparent_circularity", "recycled_input", "denominator_total"),
+    (
+        "dissipative_adjusted",
+        "dissipative-adjusted",
+        "dissipative_adjusted_circularity",
+        "recycled_input",
+        "denominator_recoverable",
+    ),
+    ("real_rate", "real", "real_circularity", "recycled_input", "denominator_annually_recoverable"),
+    (
+        "potential_ceiling",
+        "potential ceiling",
+        "potential_ceiling",
+        "denominator_recoverable",
+        "denominator_total",
+    ),
+)
+_RATE_ROWS = {row[0]: row for row in RATES}
+_DENOMINATOR_TEXT = {key: " - ".join(fields) for key, _, fields in DENOMINATORS}
+
 
 class CircularityReport(Record):
     """The metric family plus the three mass denominators it used (Gt)."""
 
-    __slots__ = (
-        "apparent",
-        "dissipative_adjusted",
-        "real_rate",
-        "potential_ceiling",
-        "denominator_total",
-        "denominator_recoverable",
-        "denominator_annually_recoverable",
-    )
+    __slots__ = tuple(row[0] for row in RATES + DENOMINATORS)
 
     def __init__(
         self,
@@ -44,50 +70,43 @@ class CircularityReport(Record):
         denominator_recoverable: float,
         denominator_annually_recoverable: float,
     ) -> None:
-        set_field(self, "apparent", apparent)
-        set_field(self, "dissipative_adjusted", dissipative_adjusted)
-        set_field(self, "real_rate", real_rate)
-        set_field(self, "potential_ceiling", potential_ceiling)
-        set_field(self, "denominator_total", denominator_total)
-        set_field(self, "denominator_recoverable", denominator_recoverable)
-        set_field(self, "denominator_annually_recoverable", denominator_annually_recoverable)
+        fields = locals()
+        for name in self.__slots__:
+            set_field(self, name, fields[name])
 
     def rates(self) -> dict[str, float]:
-        return {
-            "apparent": self.apparent,
-            "dissipative_adjusted": self.dissipative_adjusted,
-            "real_rate": self.real_rate,
-            "potential_ceiling": self.potential_ceiling,
-        }
+        return {key: getattr(self, key) for key in _RATE_ROWS}
 
 
-def _denominators(account: MaterialFlowAccount) -> tuple[float, float, float]:
-    """Total, recoverable (total - energetic) and annually recoverable input.
+def _masses(account: MaterialFlowAccount) -> dict[str, float]:
+    """Every ``DENOMINATORS`` mass of ``account``: its first field minus the rest."""
+    masses = {}
+    for key, _, fields in DENOMINATORS:
+        mass = getattr(account, fields[0])
+        for name in fields[1:]:
+            mass -= getattr(account, name)
+        masses[key] = mass
+    return masses
 
-    The annually recoverable input further excludes this year's net stock
-    additions.  Every metric divides by one of these three masses.
-    """
-    total = account.total_input
-    recoverable = total - account.energetic_input
-    return total, recoverable, recoverable - account.net_stock_additions
+
+def _rate(account: MaterialFlowAccount, key: str, masses: dict[str, float] | None = None) -> float:
+    """One ``RATES`` quotient; only its own denominator is checked, never the numerator."""
+    _, _, context, numerator, denominator = _RATE_ROWS[key]
+    masses = masses or _masses(account)
+    if masses[denominator] <= 0:
+        raise UndefinedDenominatorError(_DENOMINATOR_TEXT[denominator], context)
+    top = masses[numerator] if numerator in masses else getattr(account, numerator)
+    return top / masses[denominator]
 
 
 def apparent_circularity(account: MaterialFlowAccount) -> float:
     """Recycled share of all resource input (the headline circularity rate)."""
-    total, _, _ = _denominators(account)
-    if total <= 0:
-        raise UndefinedDenominatorError("total_input", "apparent_circularity")
-    return account.recycled_input / total
+    return _rate(account, "apparent")
 
 
 def dissipative_adjusted_circularity(account: MaterialFlowAccount) -> float:
     """Recycled share of the non-dissipative input (total minus energetic)."""
-    _, recoverable, _ = _denominators(account)
-    if recoverable <= 0:
-        raise UndefinedDenominatorError(
-            "total_input - energetic_input", "dissipative_adjusted_circularity"
-        )
-    return account.recycled_input / recoverable
+    return _rate(account, "dissipative_adjusted")
 
 
 def real_circularity(account: MaterialFlowAccount) -> float:
@@ -98,12 +117,7 @@ def real_circularity(account: MaterialFlowAccount) -> float:
     reverse flow is larger than the annually recoverable pool (a state
     ``metric_suite`` refuses to report).
     """
-    _, _, annually_recoverable = _denominators(account)
-    if annually_recoverable <= 0:
-        raise UndefinedDenominatorError(
-            "total_input - energetic_input - net_stock_additions", "real_circularity"
-        )
-    return account.recycled_input / annually_recoverable
+    return _rate(account, "real_rate")
 
 
 def potential_ceiling(account: MaterialFlowAccount) -> float:
@@ -112,10 +126,7 @@ def potential_ceiling(account: MaterialFlowAccount) -> float:
     The dissipative share of input can never come back as original
     material, so the ceiling is the non-energetic share of total input.
     """
-    total, recoverable, _ = _denominators(account)
-    if total <= 0:
-        raise UndefinedDenominatorError("total_input", "potential_ceiling")
-    return recoverable / total
+    return _rate(account, "potential_ceiling")
 
 
 def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
@@ -125,36 +136,23 @@ def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
     errors from individual metrics propagate (each names its metric);
     a rate outside [0, 1] raises MetricDomainError.
     """
-    total, recoverable, annually_recoverable = _denominators(account)
-    rates = {
-        "apparent": (apparent_circularity(account), total),
-        "dissipative_adjusted": (dissipative_adjusted_circularity(account), recoverable),
-        "real_rate": (real_circularity(account), annually_recoverable),
-        "potential_ceiling": (potential_ceiling(account), total),
-    }
-    snapped = {}
-    for name, (rate, denominator) in rates.items():
-        noise = float_dust(total) / denominator
-        if 1.0 < rate <= 1.0 + noise:
+    masses = _masses(account)
+    # Every quotient first: an undefined denominator outranks a domain error.
+    rates = [(row, _rate(account, row[0], masses)) for row in RATES]
+    snapped = []
+    for (key, _, _, _, denominator), rate in rates:
+        if 1.0 < rate <= 1.0 + float_dust(masses["denominator_total"]) / masses[denominator]:
             rate = 1.0
         elif not 0.0 <= rate <= 1.0:
             detail = ""
-            if name == "real_rate" and rate > 1.0:
+            if key == "real_rate" and rate > 1.0:
                 detail = (
                     f": recycled_input ({account.recycled_input:.6g} Gt) exceeds the "
-                    f"annually recoverable pool ({annually_recoverable:.6g} Gt)"
+                    f"annually recoverable pool ({masses[denominator]:.6g} Gt)"
                 )
-            raise MetricDomainError(f"{name} = {rate:.6g} is outside [0, 1]{detail}")
-        snapped[name] = rate
-    report = CircularityReport(
-        apparent=snapped["apparent"],
-        dissipative_adjusted=snapped["dissipative_adjusted"],
-        real_rate=snapped["real_rate"],
-        potential_ceiling=snapped["potential_ceiling"],
-        denominator_total=total,
-        denominator_recoverable=recoverable,
-        denominator_annually_recoverable=annually_recoverable,
-    )
+            raise MetricDomainError(f"{key} = {rate:.6g} is outside [0, 1]{detail}")
+        snapped.append(rate)
+    report = CircularityReport(*snapped, *masses.values())
     # Same numerator over shrinking positive denominators: the chain is arithmetic.
     assert report.apparent <= report.dissipative_adjusted <= report.real_rate
     return report

@@ -8,6 +8,8 @@ rows and the SVG text labels look their numbers up in the same table by key
 and format them through one ``kind -> formatter`` table, so a human format
 cannot show a number the machine format lacks.  The only human cells that
 are not keys are the scenario delta column and the valuemap mass column.
+Labels, rate denominators and GDP categories come from ``metrics.RATES``,
+``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``, imported where used.
 
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
@@ -24,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .accounts import (
     MASS_BALANCE,
+    MAX_PLACES,
     ValidationOutcome,
     ValidationStatus,
     format_percent,
@@ -49,44 +52,13 @@ FORMAT_MARKDOWN = "markdown"
 FORMAT_MACHINE = "machine"
 FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE)
 
-#: (rate key, label, key of the denominator it divides by), in report order.
-_METRICS = (
-    ("apparent", "apparent", "denominator_total"),
-    ("dissipative_adjusted", "dissipative-adjusted", "denominator_recoverable"),
-    ("real_rate", "real", "denominator_annually_recoverable"),
-    ("potential_ceiling", "potential ceiling", "denominator_total"),
-)
-#: (category, label, account mass field shown next to it, key stem of its GDP
-#: share in scenario output).  "<side>_waste_share" already names the waste
-#: share of input there, so the waste category's GDP share is "waste_gdp_share".
-_CATEGORIES = (
-    ("reverse_flow", "reverse flows", "recycled_input", "reverse_flow_share"),
-    ("dissipative_flow", "dissipative flows", "energetic_input", "dissipative_flow_share"),
-    ("stock_addition", "stock additions", "net_stock_additions", "stock_addition_share"),
-    ("waste", "waste", "waste_output", "waste_gdp_share"),
-    ("legacy_stock", "legacy stocks", None, "legacy_stock_share"),
-)
-#: (label, key stem) of each scenario table row: the numbers are the
-#: ``baseline_<stem>`` and ``after_<stem>`` keys.
-_SCENARIO_RATE_ROWS = (
-    *((label, key) for key, label, _ in _METRICS),
-    ("waste share of input", "waste_share"),
-    *((f"{label} share of GDP", stem) for _, label, _, stem in _CATEGORIES),
-)
-_SCENARIO_VALUE_ROWS = tuple((label, f"{category}_value") for category, label, _, _ in _CATEGORIES)
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
-
-
-# Most decimal places a report may ask for.  No float's ``repr`` has a digit
-# past the 324th decimal place, so the bound hides none; far larger values
-# overflow the exponent range of the decimal arithmetic that rounds.
-_MAX_ROUNDING = 400
 
 
 class RenderSpec(Record):
     """How to render a report.
 
-    ``rounding`` is the number of decimal places, at most 400, for
+    ``rounding`` is the number of decimal places, at most ``MAX_PLACES``, for
     percentages (and, for table consistency, masses and money).  Rounding
     is half-away-from-zero: half-way values round up in magnitude, so e.g.
     61.5% prints as 62% at zero places, never 61%.
@@ -103,8 +75,8 @@ class RenderSpec(Record):
         set_field(self, "format", check_choice(format, FORMATS, "format"))
         if isinstance(rounding, bool) or not isinstance(rounding, int) or rounding < 0:
             raise ValueError(f"rounding must be a non-negative integer, got {rounding!r}")
-        if rounding > _MAX_ROUNDING:
-            raise ValueError(f"rounding must be at most {_MAX_ROUNDING}, got {rounding!r}")
+        if rounding > MAX_PLACES:
+            raise ValueError(f"rounding must be at most {MAX_PLACES}, got {rounding!r}")
         set_field(self, "rounding", rounding)
         footnotes = check_bool(include_provenance_footnotes, "include_provenance_footnotes")
         set_field(self, "include_provenance_footnotes", footnotes)
@@ -215,10 +187,10 @@ def render_validation(outcome: ValidationOutcome, spec: RenderSpec | None = None
 
 
 def _metric_numbers(report: CircularityReport) -> Numbers:
+    from .metrics import DENOMINATORS
+
     numbers = {key: ("%", rate) for key, rate in report.rates().items()}
-    numbers["denominator_total"] = ("Gt", report.denominator_total)
-    numbers["denominator_recoverable"] = ("Gt", report.denominator_recoverable)
-    numbers["denominator_annually_recoverable"] = ("Gt", report.denominator_annually_recoverable)
+    numbers.update((key, ("Gt", getattr(report, key))) for key, _, _ in DENOMINATORS)
     return numbers
 
 
@@ -227,7 +199,9 @@ def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) ->
     spec = spec or RenderSpec()
 
     def layout(cell):
-        rows = [(label, cell(key), cell(denominator)) for key, label, denominator in _METRICS]
+        from .metrics import RATES
+
+        rows = [(label, cell(key), cell(denominator)) for key, label, _, _, denominator in RATES]
         footnote = (
             f"note: rates are exact quotients rounded half-away-from-zero to "
             f"{spec.rounding} decimal place(s); half-way values round up in "
@@ -262,8 +236,10 @@ def render_valuemap(
     spec = spec or RenderSpec()
 
     def layout(cell):
+        from .valuemap import CATEGORIES
+
         rows = []
-        for category, label, mass_field, _ in _CATEGORIES:
+        for category, label, mass_field in CATEGORIES:
             # The mass column is human-only: account masses are not report numbers.
             mass = () if account is None else (
                 format_mass(getattr(account, mass_field), spec.rounding) if mass_field else "-",
@@ -281,6 +257,11 @@ def render_valuemap(
         return f"GDP value attribution ({cell('gdp')} GDP)", [(headers, rows)], notes, footnote
 
     return _project(spec, _valuemap_numbers(attribution, services_share), layout)
+
+
+# "<side>_waste_share" is the waste share of input, so the waste GDP share is "waste_gdp_share".
+def _gdp_share_stem(category: str) -> str:
+    return "waste_gdp_share" if category == "waste" else f"{category}_share"
 
 
 def render_scenario_comparison(
@@ -302,24 +283,33 @@ def render_scenario_comparison(
     )
     # Rates interleave the two sides; GDP shares and values are grouped by side.
     numbers: Numbers = {}
-    for key, _, _ in _METRICS:
+    for key in sides[0][1]:
         for side, rates, _ in sides:
             numbers[f"{side}_{key}"] = ("%", rates[key])
     numbers["baseline_waste_share"] = ("%", baseline_waste_share)
     numbers["after_waste_share"] = ("%", result_waste_share)
     for side, _, attribution in sides:
-        shares = attribution.shares_by_category()
-        for category, _, _, stem in _CATEGORIES:
-            numbers[f"{side}_{stem}"] = ("%", shares[category])
+        for category, share in attribution.shares_by_category().items():
+            numbers[f"{side}_{_gdp_share_stem(category)}"] = ("%", share)
     for side, _, attribution in sides:
         for category, value in attribution.values_by_category().items():
             numbers[f"{side}_{category}_value"] = ("$", value)
 
     def layout(cell):
+        from .metrics import RATES
+        from .valuemap import CATEGORIES
+
+        # (label, key stem) per row: the numbers are "baseline_<stem>" and "after_<stem>".
+        rate_rows = (
+            *((label, key) for key, label, *_ in RATES),
+            ("waste share of input", "waste_share"),
+            *((f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
+        )
+        value_rows = tuple((label, f"{key}_value") for key, label, _ in CATEGORIES)
         tables = []
         for headers, rows, delta_kind in (
-            (("quantity", "baseline", "after", "delta"), _SCENARIO_RATE_ROWS, "pp"),
-            (("value", "baseline", "after", "delta"), _SCENARIO_VALUE_ROWS, "+$"),
+            (("quantity", "baseline", "after", "delta"), rate_rows, "pp"),
+            (("value", "baseline", "after", "delta"), value_rows, "+$"),
         ):
             delta = _FORMATTERS[delta_kind]
             cells = []
@@ -354,6 +344,8 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     One labeled text element per reported quantity (three denominators,
     three rates, the ceiling).
     """
+    from .metrics import DENOMINATORS, RATES
+
     spec = spec or RenderSpec()
     numbers = _metric_numbers(report)
     cell = _cells(numbers, spec.rounding)
@@ -363,19 +355,14 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     scale = (plot_bottom - plot_top) / max(report.denominator_total, 1e-300)
 
     # One bar per metric but the ceiling, each over its own denominator.
-    bars = zip(
-        (
-            ("total", "total input"),
-            ("recoverable", "non-dissipative"),
-            ("annually-recoverable", "annually recoverable"),
-        ),
-        _METRICS,
-    )
+    *bars, (ceiling_key, *_) = RATES
+    denominator_labels = {key: label for key, label, _ in DENOMINATORS}
     body = [
         f'<text id="title" x="{plot_left}" y="30" font-size="18">'
         "Circularity: shrinking denominators, rising rate</text>"
     ]
-    for index, ((slug, label), (rate_key, rate_name, denominator_key)) in enumerate(bars):
+    for index, (rate_key, rate_name, _, _, denominator_key) in enumerate(bars):
+        slug = denominator_key.removeprefix("denominator_").replace("_", "-")
         x = plot_left + index * (bar_width + gap)
         bar_height = numbers[denominator_key][1] * scale
         y = plot_bottom - bar_height
@@ -386,7 +373,7 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
         )
         body.append(
             f'<text id="denominator-{slug}" x="{x + bar_width / 2:.1f}" y="{plot_bottom + 20}" '
-            f'font-size="13" text-anchor="middle">{_escape(label)}: '
+            f'font-size="13" text-anchor="middle">{_escape(denominator_labels[denominator_key])}: '
             f"{cell(denominator_key)}</text>"
         )
         body.append(
@@ -396,13 +383,15 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
         )
     body.append(
         f'<text id="rate-potential-ceiling" x="{width - 20}" y="30" font-size="13" '
-        f'text-anchor="end">ceiling {cell("potential_ceiling")}</text>'
+        f'text-anchor="end">ceiling {cell(ceiling_key)}</text>'
     )
     return _svg_document(width, height, body)
 
 
 def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) -> str:
     """Stacked horizontal bar of GDP shares with a five-entry legend."""
+    from .valuemap import CATEGORIES
+
     spec = spec or RenderSpec()
     numbers = _valuemap_numbers(attribution)
     cell = _cells(numbers, spec.rounding)
@@ -414,7 +403,7 @@ def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) 
         "GDP value by resource-flow category</text>"
     ]
     x = bar_left
-    for index, (key, _, _, _) in enumerate(_CATEGORIES):
+    for index, (key, _, _) in enumerate(CATEGORIES):
         segment = numbers[f"{key}_share"][1] * bar_width
         if segment > 0:
             body.append(
@@ -422,7 +411,7 @@ def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) 
                 f'height="{bar_height}" fill="{_SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]}"/>'
             )
         x += segment
-    for index, (key, label, _, _) in enumerate(_CATEGORIES):
+    for index, (key, label, _) in enumerate(CATEGORIES):
         y = bar_top + bar_height + 28 + index * 20
         body.append(
             f'<rect x="{bar_left}" y="{y - 11}" width="12" height="12" '

@@ -6,7 +6,8 @@ by net additions to stock (net fixed capital formation), by waste (fixed at
 zero, unmanaged waste adds nothing), and a residual.  The residual is
 never an input: whatever the year's resource inputs cannot explain is
 booked to the use and management of the pre-existing stock base (the
-"legacy stocks").
+"legacy stocks").  ``CATEGORIES`` lists the five once, in report order,
+with the label and the account mass the reports show next to each.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ from .record import (
 CATEGORY_REVERSE_FLOW = "reverse_flow"
 CATEGORY_DISSIPATIVE_FLOW = "dissipative_flow"
 SECTOR_CATEGORIES = (CATEGORY_REVERSE_FLOW, CATEGORY_DISSIPATIVE_FLOW)
+#: (category, label, account mass field shown next to it), in report order.  The
+#: value is ``ValueAttribution.<category>_value``; legacy stocks have no mass.
+CATEGORIES = (
+    (CATEGORY_REVERSE_FLOW, "reverse flows", "recycled_input"),
+    (CATEGORY_DISSIPATIVE_FLOW, "dissipative flows", "energetic_input"),
+    ("stock_addition", "stock additions", "net_stock_additions"),
+    ("waste", "waste", "waste_output"),
+    ("legacy_stock", "legacy stocks", None),
+)
+_VALUE_FIELDS = tuple((category, f"{category}_value") for category, _, _ in CATEGORIES)
 
 #: Consumption-of-fixed-capital rate assumed when a dataset does not carry one.
 DEFAULT_CFC_RATE = 0.13
@@ -144,13 +155,7 @@ class ValueAttribution(Record):
     legacy_stock_share = _gdp_share("legacy_stock")
 
     def values_by_category(self) -> dict[str, float]:
-        return {
-            "reverse_flow": self.reverse_flow_value,
-            "dissipative_flow": self.dissipative_flow_value,
-            "stock_addition": self.stock_addition_value,
-            "waste": self.waste_value,
-            "legacy_stock": self.legacy_stock_value,
-        }
+        return {category: getattr(self, field) for category, field in _VALUE_FIELDS}
 
     def shares_by_category(self) -> dict[str, float]:
         gdp = self.gdp

@@ -1,8 +1,11 @@
 """Unit tests for the circularity metric family."""
 
+import inspect
+
 import pytest
 
 from circuflow import (
+    CircularityReport,
     MaterialFlowAccount,
     MetricDomainError,
     UndefinedDenominatorError,
@@ -12,6 +15,7 @@ from circuflow import (
     potential_ceiling,
     real_circularity,
 )
+from circuflow.metrics import DENOMINATORS, RATES
 from circuflow.record import float_dust
 from support import reference_account
 
@@ -140,6 +144,23 @@ class TestMetricSuite:
             metric_suite(reference_account(**zero_flows, **fields))
         assert info.value.context == context
 
+    def test_undefined_denominator_outranks_a_domain_error(self):
+        # apparent = 20 / 10 is out of range, but the dissipative-adjusted
+        # denominator is zero: every quotient is taken before any domain check
+        account = MaterialFlowAccount(
+            year=2020,
+            total_input=10,
+            energetic_input=10,
+            structural_input=0,
+            recycled_input=20,
+            emissions_output=10,
+            waste_output=0,
+            net_stock_additions=0,
+        )
+        with pytest.raises(UndefinedDenominatorError) as info:
+            metric_suite(account)
+        assert info.value.context == "dissipative_adjusted_circularity"
+
     def test_report_fields_are_floats(self):
         account = reference_account(
             total_input=104, energetic_input=40, structural_input=64, recycled_input=9,
@@ -168,3 +189,52 @@ class TestMetricSuite:
         assert metric_suite(reference_account(recycled_input=33 + dust / 2)).real_rate == 1.0
         with pytest.raises(MetricDomainError, match="real_rate"):
             metric_suite(reference_account(recycled_input=33 + 2 * dust))
+
+
+class TestFormulaTables:
+    def test_rate_then_denominator_keys_are_the_report_fields(self):
+        keys = tuple(row[0] for row in RATES) + tuple(row[0] for row in DENOMINATORS)
+        assert keys == CircularityReport.__slots__
+        # metric_suite builds the report positionally, in this order
+        assert tuple(inspect.signature(CircularityReport).parameters) == keys
+
+    def test_rates_divide_by_a_denominator(self):
+        denominators = {row[0] for row in DENOMINATORS}
+        for _, _, _, numerator, denominator in RATES:
+            assert denominator in denominators
+            assert numerator in denominators or numerator in MaterialFlowAccount.__slots__
+
+    @pytest.mark.parametrize(
+        "function,fields,denominator",
+        [
+            (
+                apparent_circularity,
+                dict(total_input=0.0, energetic_input=0.0, structural_input=0.0),
+                "total_input",
+            ),
+            (
+                dissipative_adjusted_circularity,
+                dict(energetic_input=104.0, structural_input=0.0),
+                "total_input - energetic_input",
+            ),
+            (
+                real_circularity,
+                dict(net_stock_additions=64.0),
+                "total_input - energetic_input - net_stock_additions",
+            ),
+            (
+                potential_ceiling,
+                dict(total_input=0.0, energetic_input=0.0, structural_input=0.0),
+                "total_input",
+            ),
+        ],
+    )
+    def test_each_function_names_its_own_denominator(self, function, fields, denominator):
+        account = reference_account(recycled_input=0.0, **fields)
+        with pytest.raises(UndefinedDenominatorError) as info:
+            function(account)
+        assert info.value.denominator == denominator
+        assert info.value.context == function.__name__
+        assert str(info.value) == (
+            f"{function.__name__}: denominator {denominator!r} is zero, result undefined"
+        )

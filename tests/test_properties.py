@@ -18,9 +18,13 @@ from circuflow import (
     SetRecoveryRate,
     ValidationStatus,
     annually_recoverable_input,
+    apparent_circularity,
     apply_scenario,
     attribute_value,
+    dissipative_adjusted_circularity,
     metric_suite,
+    potential_ceiling,
+    real_circularity,
     validate,
     waste_share,
 )
@@ -59,6 +63,22 @@ def test_metric_suite_matches_oracle():
         assert report.dissipative_adjusted == pytest.approx(adjusted, rel=1e-12)
         assert report.real_rate == pytest.approx(real, rel=1e-12)
         assert report.potential_ceiling == pytest.approx(ceiling, rel=1e-12)
+
+
+def test_public_metric_functions_equal_the_suite_exactly():
+    # Both read the one formula table; only the suite snaps float dust above 1.
+    rng = random.Random(121)
+    for _ in range(N):
+        account = random_valid_account(rng)
+        report = metric_suite(account)
+        for function, field in (
+            (apparent_circularity, report.apparent),
+            (dissipative_adjusted_circularity, report.dissipative_adjusted),
+            (real_circularity, report.real_rate),
+            (potential_ceiling, report.potential_ceiling),
+        ):
+            direct = function(account)
+            assert direct == field or field == 1.0 < direct, function.__name__
 
 
 def test_monotone_metric_chain():

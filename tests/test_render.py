@@ -7,6 +7,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import pytest
 
 from circuflow import attribute_value, metric_suite, validate
+from circuflow.accounts import MAX_PLACES
 from circuflow.render import (
     RenderSpec,
     format_money,
@@ -60,6 +61,20 @@ class TestRounding:
         # 28 significant digits is decimal's default; quantize used to raise past it
         assert round_half_away(value, 40) == value
         assert round_half_away(-value, 26) == -value
+
+    @pytest.mark.parametrize("places", [-5, -1, 401, 5_000_000])
+    def test_places_outside_0_to_400_raise_one_named_error(self, places):
+        # these used to raise decimal.InvalidOperation, a decimal-context
+        # ValueError, or (at -1 and 401) round silently
+        message = rf"^places must be from 0 to 400, got {places}$"
+        with pytest.raises(ValueError, match=message):
+            round_half_away(1234.5, places)
+        with pytest.raises(ValueError, match=message):
+            round_half_away(math.inf, places)
+
+    def test_places_bound_is_the_render_spec_bound(self):
+        assert round_half_away(1234.5, MAX_PLACES) == 1234.5
+        assert RenderSpec(rounding=MAX_PLACES).rounding == MAX_PLACES == 400
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_infinities_pass_through(self, value):

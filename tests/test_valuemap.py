@@ -14,7 +14,9 @@ from circuflow import (
     nfcf_rate,
     stock_addition_value,
 )
+from circuflow.accounts import MASS_FIELDS
 from circuflow.record import float_dust
+from circuflow.valuemap import CATEGORIES
 from support import reference_economy
 
 
@@ -184,6 +186,18 @@ class TestAttributeValue:
         with pytest.raises(CircuflowError, match="attributed value sum overflows") as info:
             attribute_value(economy)
         assert not isinstance(info.value, OverAttributionError)
+
+
+class TestCategoryTable:
+    def test_categories_are_the_attribution_keys_in_order(self, economy):
+        keys = [row[0] for row in CATEGORIES]
+        attribution = attribute_value(economy)
+        assert list(attribution.values_by_category()) == keys
+        assert list(attribution.shares_by_category()) == keys
+
+    def test_mass_fields_are_account_masses(self):
+        masses = [field for _, _, field in CATEGORIES if field is not None]
+        assert masses and set(masses) <= set(MASS_FIELDS)
 
 
 class TestReverseFlowShare:
