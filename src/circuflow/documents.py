@@ -271,10 +271,10 @@ def parse_scenario(text: str) -> Scenario:
 def render_scenario(scenario: Scenario) -> str:
     from . import scenarios
 
+    scale = scenarios.ScaleReverseFlowValue
     steps = [
-        f"scale_reverse_flow_value, {'on' if step.enabled else 'off'}"
-        if isinstance(step, scenarios.ScaleReverseFlowValue)
-        else f"{scenarios.OP_NAMES[type(step)]}, {step.fraction!r}"
+        f"{scenarios.OP_NAMES[type(step)]}, "
+        + (("on" if step.enabled else "off") if type(step) is scale else repr(step.fraction))
         for step in scenario.steps
     ]
     return _write(SCENARIO_SCHEMA, scenario, steps)

@@ -75,16 +75,6 @@ Transformation = (
     SetRecoveryRate | DivertWasteToStock | ReplaceEnergeticWithStock | ScaleReverseFlowValue
 )
 
-#: Scenario-document op name of each transformation type.
-STEP_OPS: dict[str, type[Transformation]] = {
-    "set_recovery_rate": SetRecoveryRate,
-    "divert_waste_to_stock": DivertWasteToStock,
-    "replace_energetic_with_stock": ReplaceEnergeticWithStock,
-    "scale_reverse_flow_value": ScaleReverseFlowValue,
-}
-OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls in STEP_OPS.items()}
-
-
 class Scenario(Record):
     """A named, ordered list of transformations."""
 
@@ -160,12 +150,17 @@ def _replace_energetic(account: MaterialFlowAccount, fraction: float) -> _Move:
     return moved, "energetic_input", "net_stock_additions", values
 
 
-#: The move of each mass step; ScaleReverseFlowValue moves no mass.
-_MOVES = {
-    SetRecoveryRate: _recover,
-    DivertWasteToStock: _divert,
-    ReplaceEnergeticWithStock: _replace_energetic,
-}
+#: Scenario-document op name, step type and mass move of each transformation;
+#: ScaleReverseFlowValue moves no mass.
+_STEPS = (
+    ("set_recovery_rate", SetRecoveryRate, _recover),
+    ("divert_waste_to_stock", DivertWasteToStock, _divert),
+    ("replace_energetic_with_stock", ReplaceEnergeticWithStock, _replace_energetic),
+    ("scale_reverse_flow_value", ScaleReverseFlowValue, None),
+)
+STEP_OPS: dict[str, type[Transformation]] = {op: cls for op, cls, _ in _STEPS}
+OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls, _ in _STEPS}
+_MOVES = {cls: move for _, cls, move in _STEPS if move is not None}
 
 
 def apply_scenario(
@@ -186,7 +181,7 @@ def apply_scenario(
     current, current_economy = account, economy
     expected_residual = baseline.residual
     slack = float_dust(account.total_input)  # no move changes total_input
-    log: list[tuple[Transformation, float]] = []  # each step with its Gt moved or value factor
+    notes = []
 
     for index, step in enumerate(scenario.steps):
         try:
@@ -195,22 +190,32 @@ def apply_scenario(
                 amount, source, sink, values = move(current, step.fraction)
                 current = current.replace(**values)
                 expected_residual += amount * ((source in _OUTPUT_BINS) - (sink in _OUTPUT_BINS))
-                log.append((step, amount))
-            else:
-                if step.enabled and account.recycled_input <= 0:
-                    raise ValueError(
-                        "proportional value scaling requires a nonzero baseline reverse flow"
+                if type(step) is ReplaceEnergeticWithStock and amount > 0:
+                    notes.append(
+                        f"{amount:.6g} Gt of energetic input rebooked as stock-building "
+                        "structural input; emissions_output left unchanged (emission "
+                        "modeling out of scope)"
                     )
-                factor = current.recycled_input / account.recycled_input if step.enabled else 1.0
-                current_economy = current_economy.replace(
+            elif not step.enabled:
+                current_economy = economy
+            elif account.recycled_input <= 0:
+                raise ValueError(
+                    "proportional value scaling requires a nonzero baseline reverse flow"
+                )
+            else:
+                factor = current.recycled_input / account.recycled_input
+                current_economy = economy.replace(
                     sectors=tuple(
-                        sector.replace(value=original.value * factor)
+                        sector.replace(value=sector.value * factor)
                         if sector.category == CATEGORY_REVERSE_FLOW
                         else sector
-                        for sector, original in zip(current_economy.sectors, economy.sectors)
+                        for sector in economy.sectors
                     ),
                 )
-                log.append((step, factor))
+                notes.append(
+                    f"reverse-flow sector values scaled x{factor:.6g}, assuming value "
+                    "moves proportionally with the reverse flow (explicit assumption)"
+                )
         except ValueError as exc:
             # A precondition failed, or a record rejected the step's result.
             raise ScenarioError(scenario.name, index, str(exc)) from None
@@ -229,18 +234,6 @@ def apply_scenario(
         reasons = "; ".join(v.message for v in structural_violations)
         raise ScenarioError(scenario.name, None, f"transformed account is inconsistent: {reasons}")
 
-    notes = []
-    for step, quantity in log:
-        if type(step) is ReplaceEnergeticWithStock and quantity > 0:
-            notes.append(
-                f"{quantity:.6g} Gt of energetic input rebooked as stock-building structural "
-                "input; emissions_output left unchanged (emission modeling out of scope)"
-            )
-        elif type(step) is ScaleReverseFlowValue and step.enabled:
-            notes.append(
-                f"reverse-flow sector values scaled x{quantity:.6g}, assuming value "
-                "moves proportionally with the reverse flow (explicit assumption)"
-            )
     rebooked = expected_residual - baseline.residual
     if abs(rebooked) > slack:
         notes.append(

@@ -177,6 +177,20 @@ class TestHostileMagnitudes:
         assert main(["scenario", account, ECONOMY, str(scenario)]) == 3
         assert "step 1: monetary value must be finite" in capsys.readouterr().err
 
+    def test_overflowing_output_sum_after_a_step_is_a_computation_error(self, tmp_path, capsys):
+        account = self._account(
+            tmp_path, total_input=1.5e308, energetic_input=0.5e308, structural_input=1.0e308,
+            recycled_input=0.0, emissions_output=0.9e308, waste_output=0.1e308,
+            net_stock_additions=0.5e308,
+        )
+        scenario = tmp_path / "rebook.scenario"
+        scenario.write_text("name = rebook\nstep = replace_energetic_with_stock, 1.0\n")
+        assert main(["scenario", account, ECONOMY, str(scenario)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario 'rebook', step 0: mass sum emissions + waste + "
+            "net_stock_additions overflows to infinity"
+        ]
+
 
 class TestMetricsCommand:
     def test_markdown_table(self, capsys):

@@ -81,6 +81,24 @@ def test_public_metric_functions_equal_the_suite_exactly():
             assert direct == field or field == 1.0 < direct, function.__name__
 
 
+def test_suite_snaps_a_real_rate_a_hair_above_one():
+    # recycled_input a few parts in 1e12 above the metric's own pool: float dust
+    rng = random.Random(122)
+    snapped = 0
+    for _ in range(N):
+        account = random_valid_account(rng)
+        pool = account.total_input - account.energetic_input - account.net_stock_additions
+        account = account.replace(recycled_input=pool * (1 + rng.randint(0, 50) * 1e-12))
+        direct = real_circularity(account)
+        report = metric_suite(account)
+        if direct > 1.0:
+            assert report.real_rate == 1.0
+            snapped += 1
+        else:
+            assert report.real_rate == direct
+    assert snapped > 0.9 * N
+
+
 def test_monotone_metric_chain():
     rng = random.Random(103)
     for _ in range(N):

@@ -8,13 +8,16 @@ import pytest
 
 from circuflow import (
     DivertWasteToStock,
+    MaterialFlowAccount,
     ReplaceEnergeticWithStock,
     ScaleReverseFlowValue,
     Scenario,
     ScenarioError,
     SetRecoveryRate,
+    ValidationStatus,
     apply_scenario,
     scenarios,
+    validate,
 )
 from circuflow.record import float_dust
 from support import reference_account
@@ -177,6 +180,42 @@ class TestStepErrors:
         with pytest.raises(ScenarioError, match="baseline"):
             apply_scenario(account, economy, Scenario("x", ()))
 
+    def test_output_sum_overflow_is_caught_by_the_record_rebuild(self, economy):
+        # rebooking all 0.5e308 Gt of energetic input lifts stock additions to 1e308,
+        # so the three output bins sum past the largest float
+        account = MaterialFlowAccount(
+            2020, 1.5e308, 0.5e308, 1.0e308, 0.0, 0.9e308, 0.1e308, 0.5e308
+        )
+        assert validate(account).status is ValidationStatus.PASS
+        with pytest.raises(ScenarioError) as info:
+            apply_scenario(account, economy, Scenario("x", (ReplaceEnergeticWithStock(1.0),)))
+        assert info.value.step_index == 0
+        assert str(info.value).endswith(
+            "mass sum emissions + waste + net_stock_additions overflows to infinity"
+        )
+
+    def test_final_recheck_judges_the_absolute_category_gap(self, economy):
+        # The baseline gap sits just under float dust; one rebook pushes it over.
+        account = MaterialFlowAccount(
+            2020,
+            296.43685292580875,
+            47.61014733243108,
+            248.82670529694082,
+            0.0,
+            249.0742599395342,
+            24.88267052969408,
+            22.479922456580493,
+        )
+        assert validate(account).status is ValidationStatus.PASS
+        scenario = Scenario("x", (ReplaceEnergeticWithStock(0.7446149536820029),))
+        with pytest.raises(ScenarioError) as info:
+            apply_scenario(account, economy, scenario)
+        assert info.value.step_index is None
+        assert str(info.value).endswith(
+            "transformed account is inconsistent: energetic_input + structural_input "
+            "differs from total_input by -2.96437e-07 Gt"
+        )
+
 
 class TestSaturationIdempotence:
     def test_twice_equals_once(self, account, economy):
@@ -200,6 +239,12 @@ class TestScaleSemantics:
         result = apply_scenario(account, economy, scenario)
         assert result.economy == economy
 
+    def test_off_returns_the_baseline_economy_itself(self, account, economy):
+        scenario = Scenario(
+            "s", (SetRecoveryRate(1.0), ScaleReverseFlowValue(True), ScaleReverseFlowValue(False))
+        )
+        assert apply_scenario(account, economy, scenario).economy is economy
+
     def test_scaling_is_not_compounded(self, account, economy):
         once = apply_scenario(
             account, economy, Scenario("s", (SetRecoveryRate(1.0), ScaleReverseFlowValue(True)))
@@ -213,6 +258,32 @@ class TestScaleSemantics:
             ),
         )
         assert once.economy == twice.economy
+
+
+class TestNotes:
+    def test_notes_follow_step_order_with_the_rebooked_mass_last(self, account, economy):
+        # A zero-mass rebook and a disabled scale step write no note.
+        steps = (
+            ReplaceEnergeticWithStock(0.0),
+            ScaleReverseFlowValue(True),
+            ReplaceEnergeticWithStock(0.25),  # 10 Gt: residual -10
+            ScaleReverseFlowValue(False),
+            SetRecoveryRate(1.0),  # 33 - 9 = 24 Gt out of waste: residual +24
+            ScaleReverseFlowValue(True),  # 33 / 9
+        )
+        result = apply_scenario(account, economy, Scenario("notes", steps))
+        scaled = (
+            "reverse-flow sector values scaled x{}, assuming value moves proportionally "
+            "with the reverse flow (explicit assumption)"
+        )
+        assert result.notes == (
+            scaled.format("1"),
+            "10 Gt of energetic input rebooked as stock-building structural input; "
+            "emissions_output left unchanged (emission modeling out of scope)",
+            scaled.format("3.66667"),
+            "scenario rebooked +14 Gt across the input/output boundary; balance judged "
+            "net of that move (underlying residual 3 Gt, within tolerance)",
+        )
 
 
 def _leak_from_divert(monkeypatch, leak: float) -> None:
