@@ -60,6 +60,24 @@ STOCK_ADDITIONS_WITHIN_STRUCTURAL = "stock_additions_within_structural"
 MASS_BALANCE = "mass_balance"
 
 
+def _check_mass_sums(masses: MaterialFlowAccount) -> None:
+    """Reject masses whose category or output sum overflows to infinity.
+
+    ``validate`` adds these bins; a sum that overflows would surface as an
+    infinite residual or category gap instead of a named error.  ``masses``
+    is anything with the ``MASS_FIELDS`` attributes: an account under
+    construction, or the bins a scenario changes in place.
+    """
+    if not math.isfinite(masses.energetic_input + masses.structural_input):
+        raise ValueError("mass sum energetic + structural overflows to infinity")
+    if not math.isfinite(
+        masses.emissions_output + masses.waste_output + masses.net_stock_additions
+    ):
+        raise ValueError(
+            "mass sum emissions + waste + net_stock_additions overflows to infinity"
+        )
+
+
 class MaterialFlowAccount(Record):
     """One year's economy-wide mass flows, in Gt/yr.
 
@@ -104,16 +122,7 @@ class MaterialFlowAccount(Record):
         )
         for name, value in zip(MASS_FIELDS, masses):
             set_field(self, name, check_mass(value))
-        # validate() adds these bins; a sum that overflows would surface as an
-        # infinite residual or category gap instead of a named error.
-        if not math.isfinite(self.energetic_input + self.structural_input):
-            raise ValueError("mass sum energetic + structural overflows to infinity")
-        if not math.isfinite(
-            self.emissions_output + self.waste_output + self.net_stock_additions
-        ):
-            raise ValueError(
-                "mass sum emissions + waste + net_stock_additions overflows to infinity"
-            )
+        _check_mass_sums(self)
         set_field(
             self, "balance_tolerance", check_fraction(balance_tolerance, "balance_tolerance")
         )

@@ -11,7 +11,8 @@ stated once, as a ``check_*`` function here.  Records, the document parsers
 and the CLI all call these, so one rule gives one message wherever a value
 enters.  The numeric checkers take a ``float`` as it is and hand anything
 else to ``check_real``, so a float field costs one call: scenario steps
-rebuild an account, and run every mass check again, on each step.
+call ``check_mass`` and ``check_money`` on every value they change, and
+build each record only once, after the last step.
 
 The float-dust rule is stated here too.  Identities that hold exactly in
 real arithmetic (energetic + structural = total, the categories summing to

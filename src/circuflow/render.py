@@ -22,6 +22,7 @@ dependency-free.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .accounts import (
@@ -264,6 +265,29 @@ def _gdp_share_stem(category: str) -> str:
     return "waste_gdp_share" if category == "waste" else f"{category}_share"
 
 
+@cache
+def _scenario_tables() -> tuple[tuple[tuple[str, ...], tuple[tuple[str, str], ...], str], ...]:
+    """(headers, rows, delta kind) of the two scenario tables, built on first use.
+
+    Each row is (label, key stem): its numbers are "baseline_<stem>" and
+    "after_<stem>".  The tables come from ``metrics`` and ``valuemap``, which
+    are imported here so that ``validate`` loads neither.
+    """
+    from .metrics import RATES
+    from .valuemap import CATEGORIES
+
+    rate_rows = (
+        *((label, key) for key, label, *_ in RATES),
+        ("waste share of input", "waste_share"),
+        *((f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
+    )
+    value_rows = tuple((label, f"{key}_value") for key, label, _ in CATEGORIES)
+    return (
+        (("quantity", "baseline", "after", "delta"), rate_rows, "pp"),
+        (("value", "baseline", "after", "delta"), value_rows, "+$"),
+    )
+
+
 def render_scenario_comparison(
     scenario_name: str,
     baseline_report: CircularityReport,
@@ -296,21 +320,8 @@ def render_scenario_comparison(
             numbers[f"{side}_{category}_value"] = ("$", value)
 
     def layout(cell):
-        from .metrics import RATES
-        from .valuemap import CATEGORIES
-
-        # (label, key stem) per row: the numbers are "baseline_<stem>" and "after_<stem>".
-        rate_rows = (
-            *((label, key) for key, label, *_ in RATES),
-            ("waste share of input", "waste_share"),
-            *((f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
-        )
-        value_rows = tuple((label, f"{key}_value") for key, label, _ in CATEGORIES)
         tables = []
-        for headers, rows, delta_kind in (
-            (("quantity", "baseline", "after", "delta"), rate_rows, "pp"),
-            (("value", "baseline", "after", "delta"), value_rows, "+$"),
-        ):
+        for headers, rows, delta_kind in _scenario_tables():
             delta = _FORMATTERS[delta_kind]
             cells = []
             for label, stem in rows:

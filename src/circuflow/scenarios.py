@@ -7,15 +7,42 @@ reported as-is, with no feasibility claim attached.
 Moving ``amount`` Gt from a source bin to a sink bin changes the residual
 (total input minus the output bins) by ``amount × (source is an output bin −
 sink is an output bin)``; the engine checks that rule after every step.
+
+The steps run on a set of bins changed in place, not on records: each step's
+new values get the checks the record constructors would give them, so a bad
+value still names its step, and the account and the scaled economy are each
+built once, after the last step.
 """
 
 from __future__ import annotations
 
-from .accounts import MASS_BALANCE, MaterialFlowAccount, annually_recoverable_input, validate
+from .accounts import (
+    MASS_BALANCE,
+    MASS_FIELDS,
+    MaterialFlowAccount,
+    _check_mass_sums,
+    annually_recoverable_input,
+    validate,
+)
 from .errors import ScenarioError
 from .metrics import CircularityReport, metric_suite
-from .record import Record, check_bool, check_fraction, check_name, float_dust, set_field
-from .valuemap import CATEGORY_REVERSE_FLOW, EconomicAccount, ValueAttribution, attribute_value
+from .record import (
+    Record,
+    check_bool,
+    check_fraction,
+    check_mass,
+    check_money,
+    check_name,
+    float_dust,
+    set_field,
+)
+from .valuemap import (
+    CATEGORY_REVERSE_FLOW,
+    EconomicAccount,
+    ValueAttribution,
+    _check_sector_sum,
+    attribute_value,
+)
 
 
 class SetRecoveryRate(Record):
@@ -110,12 +137,31 @@ class ScenarioResult(Record):
         set_field(self, "notes", notes)
 
 
-_Move = tuple[float, str, str, dict[str, float]]  # Gt moved, source bin, sink bin, new values
+class _Bins:
+    """The seven mass bins of the account a scenario is transforming, changed in place."""
+
+    __slots__ = MASS_FIELDS
+
+    def __init__(self, account: MaterialFlowAccount) -> None:
+        for name in MASS_FIELDS:
+            setattr(self, name, getattr(account, name))
+
+    mass_residual = MaterialFlowAccount.mass_residual
+
+    def update(self, values: dict[str, float]) -> None:
+        """Store a move's new values, checked as ``MaterialFlowAccount`` checks its masses."""
+        for name, value in values.items():
+            setattr(self, name, check_mass(value))
+        _check_mass_sums(self)
+
+
+# Gt moved, source bin, sink bin, and the new values in MASS_FIELDS order
+_Move = tuple[float, str, str, dict[str, float]]
 
 _OUTPUT_BINS = frozenset(("emissions_output", "waste_output", "net_stock_additions"))
 
 
-def _recover(account: MaterialFlowAccount, fraction: float) -> _Move:
+def _recover(account: _Bins, fraction: float) -> _Move:
     new_recycled = fraction * annually_recoverable_input(account)
     increase = new_recycled - account.recycled_input
     new_waste = account.waste_output - increase
@@ -128,7 +174,7 @@ def _recover(account: MaterialFlowAccount, fraction: float) -> _Move:
     return increase, "waste_output", "recycled_input", values
 
 
-def _divert(account: MaterialFlowAccount, fraction: float) -> _Move:
+def _divert(account: _Bins, fraction: float) -> _Move:
     moved = fraction * account.waste_output
     new_stock = account.net_stock_additions + moved
     if new_stock > account.structural_input:
@@ -140,7 +186,7 @@ def _divert(account: MaterialFlowAccount, fraction: float) -> _Move:
     return moved, "waste_output", "net_stock_additions", values
 
 
-def _replace_energetic(account: MaterialFlowAccount, fraction: float) -> _Move:
+def _replace_energetic(account: _Bins, fraction: float) -> _Move:
     moved = fraction * account.energetic_input
     values = {
         "energetic_input": account.energetic_input - moved,
@@ -170,15 +216,17 @@ def apply_scenario(
 
     Raises:
         ScenarioError: If the baseline account fails validation, a step's
-            precondition fails or mass is not conserved after it (the error
-            carries the step index), or the result breaks a structural invariant.
+            precondition fails, a record check rejects one of its new values
+            or mass is not conserved after it (the error carries the step
+            index), or the result breaks a structural invariant.
     """
     baseline = validate(account)
     if not baseline.ok:
         reasons = "; ".join(v.message for v in baseline.violations)
         raise ScenarioError(scenario.name, None, f"baseline account fails validation: {reasons}")
 
-    current, current_economy = account, economy
+    bins = _Bins(account)
+    factor = None  # the reverse-flow value scaling in force, if any
     expected_residual = baseline.residual
     slack = float_dust(account.total_input)  # no move changes total_input
     notes = []
@@ -187,8 +235,8 @@ def apply_scenario(
         try:
             move = _MOVES.get(type(step))
             if move is not None:
-                amount, source, sink, values = move(current, step.fraction)
-                current = current.replace(**values)
+                amount, source, sink, values = move(bins, step.fraction)
+                bins.update(values)
                 expected_residual += amount * ((source in _OUTPUT_BINS) - (sink in _OUTPUT_BINS))
                 if type(step) is ReplaceEnergeticWithStock and amount > 0:
                     notes.append(
@@ -197,29 +245,28 @@ def apply_scenario(
                         "modeling out of scope)"
                     )
             elif not step.enabled:
-                current_economy = economy
+                factor = None
             elif account.recycled_input <= 0:
                 raise ValueError(
                     "proportional value scaling requires a nonzero baseline reverse flow"
                 )
             else:
-                factor = current.recycled_input / account.recycled_input
-                current_economy = economy.replace(
-                    sectors=tuple(
-                        sector.replace(value=sector.value * factor)
-                        if sector.category == CATEGORY_REVERSE_FLOW
-                        else sector
-                        for sector in economy.sectors
-                    ),
+                factor = bins.recycled_input / account.recycled_input
+                # The checks SectorValue and EconomicAccount would give the scaled values.
+                _check_sector_sum(
+                    check_money(sector.value * factor, "sector value")
+                    if sector.category == CATEGORY_REVERSE_FLOW
+                    else sector.value
+                    for sector in economy.sectors
                 )
                 notes.append(
                     f"reverse-flow sector values scaled x{factor:.6g}, assuming value "
                     "moves proportionally with the reverse flow (explicit assumption)"
                 )
         except ValueError as exc:
-            # A precondition failed, or a record rejected the step's result.
+            # A precondition failed, or a record check rejected a new value.
             raise ScenarioError(scenario.name, index, str(exc)) from None
-        residual = current.mass_residual()
+        residual = bins.mass_residual()
         if abs(residual - expected_residual) > slack:
             raise ScenarioError(
                 scenario.name,
@@ -228,6 +275,11 @@ def apply_scenario(
                 f"{expected_residual:.6g} Gt from the documented moves",
             )
 
+    current = MaterialFlowAccount(
+        account.year,
+        *(getattr(bins, name) for name in MASS_FIELDS),
+        account.balance_tolerance,
+    )
     outcome = validate(current)
     structural_violations = [v for v in outcome.violations if v.invariant != MASS_BALANCE]
     if structural_violations:
@@ -242,6 +294,17 @@ def apply_scenario(
             f"{baseline.residual:.6g} Gt, within tolerance)"
         )
 
+    if factor is None:
+        current_economy = economy
+    else:
+        current_economy = economy.replace(
+            sectors=tuple(
+                sector.replace(value=sector.value * factor)
+                if sector.category == CATEGORY_REVERSE_FLOW
+                else sector
+                for sector in economy.sectors
+            ),
+        )
     return ScenarioResult(
         account=current,
         economy=current_economy,

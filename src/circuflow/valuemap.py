@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import TYPE_CHECKING
 
 from .errors import (
     CircuflowError,
@@ -32,6 +33,9 @@ from .record import (
     set_field,
 )
 
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
 CATEGORY_REVERSE_FLOW = "reverse_flow"
 CATEGORY_DISSIPATIVE_FLOW = "dissipative_flow"
 SECTOR_CATEGORIES = (CATEGORY_REVERSE_FLOW, CATEGORY_DISSIPATIVE_FLOW)
@@ -48,6 +52,16 @@ _VALUE_FIELDS = tuple((category, f"{category}_value") for category, _, _ in CATE
 
 #: Consumption-of-fixed-capital rate assumed when a dataset does not carry one.
 DEFAULT_CFC_RATE = 0.13
+
+
+def _check_sector_sum(values: Iterable[float]) -> None:
+    """Reject sector values, in sector order, whose sum overflows to infinity.
+
+    ``attribute_value`` adds the sector values; a sum that overflows would
+    surface as an infinite over-attribution instead of a named error.
+    """
+    if not math.isfinite(sum(values)):
+        raise ValueError("sector value sum overflows to infinity")
 
 
 class SectorValue(Record):
@@ -86,10 +100,7 @@ class EconomicAccount(Record):
         for sector in sectors:
             if not isinstance(sector, SectorValue):
                 raise ValueError(f"sectors must hold SectorValue records, got {sector!r}")
-        # attribute_value adds the sector values; a sum that overflows would
-        # surface as an infinite over-attribution instead of a named error.
-        if not math.isfinite(sum(s.value for s in sectors)):
-            raise ValueError("sector value sum overflows to infinity")
+        _check_sector_sum(s.value for s in sectors)
         set_field(self, "sectors", sectors)
         if services_share is not None:
             services_share = check_fraction(services_share, "services_share")

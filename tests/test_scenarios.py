@@ -8,11 +8,13 @@ import pytest
 
 from circuflow import (
     DivertWasteToStock,
+    EconomicAccount,
     MaterialFlowAccount,
     ReplaceEnergeticWithStock,
     ScaleReverseFlowValue,
     Scenario,
     ScenarioError,
+    SectorValue,
     SetRecoveryRate,
     ValidationStatus,
     apply_scenario,
@@ -20,7 +22,7 @@ from circuflow import (
     validate,
 )
 from circuflow.record import float_dust
-from support import reference_account
+from support import reference_account, reference_economy
 
 
 class TestTransformationRecords:
@@ -175,6 +177,46 @@ class TestStepErrors:
             apply_scenario(account, economy, scenario)
         assert info.value.step_index == 1
 
+    @pytest.mark.parametrize(
+        "account, economy, first_step, message",
+        [
+            (
+                # 16.5 / 9 of two 0.6e308 sectors: each value fits, their sum does not
+                MaterialFlowAccount(2020, 104, 40, 64, 9, 30, 39, 31),
+                reference_economy(
+                    sectors=(
+                        SectorValue("a", 0.6e308, "reverse_flow"),
+                        SectorValue("b", 0.6e308, "reverse_flow"),
+                    )
+                ),
+                SetRecoveryRate(0.5),
+                "sector value sum overflows to infinity",
+            ),
+            (
+                # 23.1 Gt over a 1e-308 Gt baseline scales the sector value to inf
+                reference_account(recycled_input=1e-308),
+                reference_economy(),
+                SetRecoveryRate(0.7),
+                "monetary value must be finite, got inf",
+            ),
+        ],
+        ids=["sector_sum", "sector_value"],
+    )
+    def test_scaling_errors_name_their_step_though_later_steps_undo_it(
+        self, account, economy, first_step, message
+    ):
+        # Recovery back to zero and scaling off would leave a valid economy to build.
+        steps = (
+            first_step,
+            ScaleReverseFlowValue(True),
+            SetRecoveryRate(0.0),
+            ScaleReverseFlowValue(False),
+        )
+        with pytest.raises(ScenarioError) as info:
+            apply_scenario(account, economy, Scenario("x", steps))
+        assert info.value.step_index == 1
+        assert str(info.value).endswith(message)
+
     def test_invalid_baseline_aborts(self, economy):
         account = reference_account(total_input=100.0)  # category sum broken
         with pytest.raises(ScenarioError, match="baseline"):
@@ -258,6 +300,33 @@ class TestScaleSemantics:
             ),
         )
         assert once.economy == twice.economy
+
+
+def _count_inits(monkeypatch, cls, built: dict) -> None:
+    """Count in ``built[cls]`` every ``cls`` record constructed from now on."""
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[cls] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+
+
+class TestRecordsBuiltOnce:
+    def test_a_long_chain_builds_one_account_and_one_economy(self, account, economy, monkeypatch):
+        built = {MaterialFlowAccount: 0, EconomicAccount: 0}
+        for cls in built:
+            _count_inits(monkeypatch, cls, built)
+        steps = (
+            SetRecoveryRate(0.5),
+            ScaleReverseFlowValue(True),
+            DivertWasteToStock(0.01),
+            ReplaceEnergeticWithStock(0.01),
+        ) * 16
+        result = apply_scenario(account, economy, Scenario("long", steps))
+        assert result.economy != economy
+        assert built == {MaterialFlowAccount: 1, EconomicAccount: 1}
 
 
 class TestNotes:
