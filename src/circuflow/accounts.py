@@ -24,7 +24,6 @@ overflow to infinity).
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
 from .errors import AccountInvariantError, UndefinedDenominatorError
@@ -175,27 +174,44 @@ class ValidationOutcome(Record):
         return tuple(check for check in self.checks if not check.passed)
 
 
-# Most decimal places to round to: no float's ``repr`` has a digit past the 324th,
-# and far more places overflow the exponent range of the decimal arithmetic.
+# Most decimal places to round to: no float's ``repr`` has a digit past the 324th
+# (5e-324 is the smallest), so more places only ever return the value itself;
+# ``render.RenderSpec`` takes the same bound for ``--round``.
 MAX_PLACES = 400
+
+
+def _repr_digits(magnitude: float) -> tuple[str, int]:
+    """The digits of ``repr(magnitude)`` and the power of ten of the last one.
+
+    1.5e-05 -> ("15", -6) and 0.015 -> ("0015", -3): the value is always
+    ``int(digits) * 10**exponent``, whether the repr is in exponent form or not.
+    """
+    mantissa, _, exponent = repr(magnitude).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return whole + fraction, int(exponent or 0) - len(fraction)
 
 
 def round_half_away(value: float, places: int) -> float:
     """Round to ``places`` decimals (0 to ``MAX_PLACES``) with ties going away from zero.
 
-    Infinities and NaN have no digits to round and come back unchanged.
+    The rounding acts on the shortest ``repr`` digits, exactly: 2.675 gives
+    2.68 at two places.  Infinities and NaN have no digits to round and come
+    back unchanged.
     """
     if not 0 <= places <= MAX_PLACES:
         raise ValueError(f"places must be from 0 to {MAX_PLACES}, got {places!r}")
     value = float(value)
     if not math.isfinite(value):
         return value
-    exact = Decimal(repr(value))
-    # quantize fails unless the context holds every digit of the result: the
-    # integer digits (one more for a carry) plus ``places`` decimals.
-    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
-    quantum = Decimal(1).scaleb(-places)
-    return float(exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context))
+    digits, exponent = _repr_digits(abs(value))
+    if exponent + places >= 0:  # no digit past the last place kept
+        return value
+    cut = len(digits) + exponent + places  # how many leading digits are kept
+    if cut < 0:  # the first dropped digit is a zero in front of all of them
+        return math.copysign(0.0, value)
+    # the first dropped digit alone decides a tie; int true division rounds correctly
+    kept = int(digits[:cut] or "0") + (digits[cut] >= "5")
+    return math.copysign(kept / 10**places, value)
 
 
 def format_percent(fraction: float, places: int) -> str:
@@ -204,7 +220,18 @@ def format_percent(fraction: float, places: int) -> str:
 
 def _percent(fraction: float) -> str:
     """``fraction`` as a percentage with exactly its own digits: 0.015 -> "1.5%"."""
-    return f"{(Decimal(repr(fraction)) * 100).normalize():f}%"
+    digits, exponent = _repr_digits(abs(fraction))
+    significant = digits.rstrip("0")
+    exponent += 2 + len(digits) - len(significant)  # times 100, trailing zeros cut
+    significant = significant.lstrip("0")
+    if not significant:
+        text = "0"
+    elif exponent >= 0:
+        text = significant + "0" * exponent
+    else:
+        padded = significant.rjust(1 - exponent, "0")
+        text = f"{padded[:exponent]}.{padded[exponent:]}"
+    return f"{'-' if math.copysign(1.0, fraction) < 0 else ''}{text}%"
 
 
 def validate(account: MaterialFlowAccount) -> ValidationOutcome:

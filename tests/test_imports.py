@@ -23,6 +23,9 @@ HEAVY_STDLIB = ("xml", "urllib", "http", "email")
 # The record code generator and what it loads: records are plain classes.
 CODEGEN_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
+# Exact decimal and rational arithmetic: ``fractions`` imports ``decimal``.
+DECIMAL_STDLIB = {"decimal", "_decimal", "_pydecimal", "fractions"}
+
 
 def _modules_after(code: str) -> tuple[set[str], set[str]]:
     """``sys.modules`` of a fresh interpreter before and after running ``code``."""
@@ -84,6 +87,28 @@ def test_subcommands_load_no_code_generator(argv, tmp_path):
         f"    assert cli.main({argv!r}) == 0"
     )
     assert sorted(loaded & CODEGEN_STDLIB) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", str(ACCOUNT_PATH)],
+        ["metrics", str(ACCOUNT_PATH)],
+        ["valuemap", str(ACCOUNT_PATH), str(ECONOMY_PATH), "--svg", "{svg}"],
+        ["scenario", str(ACCOUNT_PATH), str(ECONOMY_PATH), str(FULL_RECOVERY_PATH)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommands_load_no_decimal_arithmetic(argv, tmp_path):
+    # rounding reads repr digits; ``fractions`` would bring ``decimal`` back in
+    argv = [arg.format(svg=tmp_path / "chart.svg") for arg in argv]
+    _, loaded = _modules_after(
+        "import contextlib, io\n"
+        "from circuflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    assert sorted(loaded & DECIMAL_STDLIB) == []
 
 
 def test_record_modules_load_no_code_generator():

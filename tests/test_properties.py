@@ -445,6 +445,83 @@ def test_round_half_away_matches_exact_oracle_across_magnitudes():
             assert round_half_away(value, places) == oracle(value, places), (value, places)
 
 
+def test_round_half_away_matches_exact_oracle_on_exponent_form_reprs():
+    """Values whose repr has an exponent, at every place count up to the bound."""
+    from fractions import Fraction
+
+    from circuflow.accounts import MAX_PLACES, round_half_away
+
+    def oracle(value, places):
+        # exact rational arithmetic on the printed (repr) value, ties away from zero
+        exact = Fraction(repr(value))
+        scale = 10**places
+        magnitude = math.floor(abs(exact) * scale + Fraction(1, 2))
+        return float(Fraction(magnitude, scale) * (1 if exact >= 0 else -1))
+
+    def check(value, places):
+        rounded = round_half_away(value, places)
+        assert rounded == oracle(value, places), (value, places)
+        assert math.copysign(1.0, rounded) == math.copysign(1.0, value), (value, places)
+
+    rng = random.Random(123)
+    for places in range(MAX_PLACES + 1):
+        for value in (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e16, -1.7e308):
+            check(value, places)
+    for _ in range(N):
+        sign = rng.choice((-1.0, 1.0))
+        drawn = (
+            sign * rng.randint(1, 2**52) * 5e-324,  # subnormal
+            sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, -5),
+            sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(16, 307),
+        )
+        for value in drawn:
+            assert "e" in repr(value), value
+            # any place count, and one that cuts into the value's own digits
+            leading = -math.floor(math.log10(abs(value)))
+            check(value, rng.randint(0, MAX_PLACES))
+            check(value, min(max(leading + rng.randint(-2, 17), 0), MAX_PLACES))
+        # a tie: the first dropped digit is a 5 and nothing follows it
+        places = rng.randint(0, 300)
+        kept = rng.randrange(10 ** rng.randint(0, 14))  # with the 5, at most 15 digits: exact
+        tie = sign * float(f"{kept}5e-{places + 1}")
+        assert repr(tie).split("e")[0].endswith("5"), tie
+        check(tie, places)
+        assert round_half_away(tie, places) == sign * float(f"{kept + 1}e-{places}"), tie
+
+
+def test_percent_text_matches_exact_decimal_expansion():
+    """The tolerance text shows every digit of 100 × the printed fraction, no more."""
+    from fractions import Fraction
+
+    from circuflow.accounts import _percent
+
+    def oracle(fraction):
+        exact = Fraction(repr(fraction)) * 100
+        places = 0
+        while (exact * 10**places).denominator != 1:
+            places += 1
+        digits = str((exact * 10**places).numerator).rjust(places + 1, "0")
+        whole, decimals = digits[: len(digits) - places], digits[len(digits) - places :]
+        sign = "-" if math.copysign(1.0, fraction) < 0 else ""
+        return f"{sign}{whole}.{decimals}%" if decimals else f"{sign}{whole}%"
+
+    assert _percent(0.015) == "1.5%"
+    assert _percent(0.02) == "2%"
+    assert _percent(1.0) == "100%"
+    assert _percent(0.0) == "0%"
+    assert _percent(1e-20) == "0.000000000000000001%"
+    rng = random.Random(124)
+    fractions = [0.0, -0.0, 1.0, 5e-324, 1e-20, 0.015, 0.02, 2.2250738585072014e-308]
+    for _ in range(N):
+        fractions += (
+            rng.random(),
+            round(rng.random(), rng.randint(0, 6)),
+            rng.random() * 10.0 ** -rng.randint(1, 320),
+        )
+    for fraction in fractions:
+        assert _percent(fraction) == oracle(fraction), fraction
+
+
 def _machine_values(text):
     return [line.partition(" = ")[2] for line in text.splitlines()]
 
