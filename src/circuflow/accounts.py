@@ -15,10 +15,10 @@ Every mass is stored as a plain float in gigatonnes per year: ingestion
 converts tagged tonne/kilotonne/megatonne values once, on load, so no
 downstream formula ever sees a mixed unit.
 
-Accounts are immutable values; ``validate`` is a pure function and the
-single place where cross-field rules are judged.  Construction only rejects
-field-level nonsense (negative or non-finite masses, and masses whose sums
-overflow to infinity).
+Accounts are immutable values.  ``_judge`` states each cross-field rule once;
+``validate``, a pure function, reports its verdicts with their messages.
+Construction only rejects field-level nonsense (negative or non-finite
+masses, and masses whose sums overflow to infinity).
 """
 
 from __future__ import annotations
@@ -180,15 +180,40 @@ class ValidationOutcome(Record):
 MAX_PLACES = 400
 
 
-def _repr_digits(magnitude: float) -> tuple[str, int]:
-    """The digits of ``repr(magnitude)`` and the power of ten of the last one.
+def _repr_decimal(value: float) -> tuple[str, str]:
+    """``repr(value)`` of a finite value written out in full, split at the point.
 
-    1.5e-05 -> ("15", -6) and 0.015 -> ("0015", -3): the value is always
-    ``int(digits) * 10**exponent``, whether the repr is in exponent form or not.
+    2.5 -> ("2", "5"), -1.5e-05 -> ("-0", "000015") and 1e+22 -> ("1" and 22
+    zeros, ""): exactly the repr's digits, whether it is in exponent form or not.
     """
-    mantissa, _, exponent = repr(magnitude).partition("e")
+    mantissa, _, exponent = repr(value).partition("e")
     whole, _, fraction = mantissa.partition(".")
-    return whole + fraction, int(exponent or 0) - len(fraction)
+    if not exponent:
+        return whole, fraction
+    sign, whole = ("-", whole[1:]) if whole[0] == "-" else ("", whole)
+    digits, point = whole + fraction, len(whole) + int(exponent)
+    if point <= 0:
+        return sign + "0", "0" * -point + digits
+    return sign + digits[:point] + "0" * (point - len(digits)), digits[point:]
+
+
+def _fixed(value: float, places: int) -> str:
+    """``value``'s ``repr`` rounded half away from zero to exactly ``places`` decimals.
+
+    The first dropped digit alone decides a tie (2.675 at two places is "2.68"),
+    and the text never shows a digit the repr lacks: 8.653846153846153 at 17
+    places is "8.65384615384615300".  -0.004 at two places is "-0.00".
+    """
+    if not math.isfinite(value):
+        return repr(value)
+    whole, fraction = _repr_decimal(value)
+    if len(fraction) > places and fraction[places] >= "5":  # round the magnitude up
+        kept = str(int(whole.lstrip("-") + fraction[:places]) + 1).rjust(places + 1, "0")
+        point, sign = len(kept) - places, "-" if whole.startswith("-") else ""
+        whole, fraction = sign + kept[:point], kept[point:]
+    else:
+        fraction = fraction[:places].ljust(places, "0")
+    return f"{whole}.{fraction}" if places else whole
 
 
 def round_half_away(value: float, places: int) -> float:
@@ -200,117 +225,84 @@ def round_half_away(value: float, places: int) -> float:
     """
     if not 0 <= places <= MAX_PLACES:
         raise ValueError(f"places must be from 0 to {MAX_PLACES}, got {places!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        return value
-    digits, exponent = _repr_digits(abs(value))
-    if exponent + places >= 0:  # no digit past the last place kept
-        return value
-    cut = len(digits) + exponent + places  # how many leading digits are kept
-    if cut < 0:  # the first dropped digit is a zero in front of all of them
-        return math.copysign(0.0, value)
-    # the first dropped digit alone decides a tie; int true division rounds correctly
-    kept = int(digits[:cut] or "0") + (digits[cut] >= "5")
-    return math.copysign(kept / 10**places, value)
+    return float(_fixed(float(value), places))  # float() of decimal text rounds correctly
 
 
 def format_percent(fraction: float, places: int) -> str:
-    return f"{round_half_away(fraction * 100.0, places):.{places}f}%"
+    return f"{_fixed(fraction * 100.0, places)}%"
 
 
 def _percent(fraction: float) -> str:
-    """``fraction`` as a percentage with exactly its own digits: 0.015 -> "1.5%"."""
-    digits, exponent = _repr_digits(abs(fraction))
-    significant = digits.rstrip("0")
-    exponent += 2 + len(digits) - len(significant)  # times 100, trailing zeros cut
-    significant = significant.lstrip("0")
-    if not significant:
-        text = "0"
-    elif exponent >= 0:
-        text = significant + "0" * exponent
-    else:
-        padded = significant.rjust(1 - exponent, "0")
-        text = f"{padded[:exponent]}.{padded[exponent:]}"
-    return f"{'-' if math.copysign(1.0, fraction) < 0 else ''}{text}%"
+    """``fraction`` as a percentage with exactly its own digits: 0.015 -> "1.5%", -0.0 -> "0%"."""
+    whole, digits = _repr_decimal(abs(fraction))
+    whole = (whole + digits[:2].ljust(2, "0")).lstrip("0") or "0"  # times 100
+    digits = digits[2:].rstrip("0")
+    return f"{'-' if fraction < 0 else ''}{whole}{'.' if digits else ''}{digits}%"
+
+
+def _judge(account: MaterialFlowAccount) -> tuple[float, float, bool, dict[str, bool]]:
+    """Judge every cross-field invariant: the one place each rule is written.
+
+    Returns the category gap (energetic + structural - total), the mass
+    residual, whether the books close exactly, and each invariant's verdict
+    by code, in check order.  The category sum is exact up to float dust;
+    the residual counts as exactly balanced up to ``_EXACT_BALANCE_REL`` of
+    total input, and passes when exact or within the balance tolerance.
+    """
+    total = account.total_input
+    category_gap = account.energetic_input + account.structural_input - total
+    residual = account.mass_residual()
+    exactly_balanced = abs(residual) <= _EXACT_BALANCE_REL * max(total, 1.0)
+    verdicts = {
+        POSITIVE_TOTAL_INPUT: total > 0,
+        CATEGORY_SUM: abs(category_gap) <= float_dust(total),
+        RECYCLED_WITHIN_STRUCTURAL: account.recycled_input <= account.structural_input,
+        STOCK_ADDITIONS_WITHIN_STRUCTURAL: account.net_stock_additions <= account.structural_input,
+        MASS_BALANCE: exactly_balanced
+        or (total > 0 and abs(residual) <= account.balance_tolerance * total),
+    }
+    return category_gap, residual, exactly_balanced, verdicts
 
 
 def validate(account: MaterialFlowAccount) -> ValidationOutcome:
-    """Judge every cross-field invariant of an account.
+    """Report every cross-field invariant of an account, as ``_judge`` judges it.
 
     Returns PASS when all invariants hold and the books close exactly,
     PASS_WITH_WARNING when the only blemish is a nonzero residual within
     tolerance, and FAIL otherwise (each violated invariant listed).
     Pure and idempotent: the same account always yields the same outcome.
     """
-    checks: list[CheckResult] = []
-    total = account.total_input
-
-    checks.append(
-        CheckResult(
-            POSITIVE_TOTAL_INPUT,
-            total > 0,
-            "total_input is positive"
-            if total > 0
-            else "total_input must be positive; every rate downstream divides by it",
-        )
-    )
-
-    category_gap = account.energetic_input + account.structural_input - total
-    category_ok = abs(category_gap) <= float_dust(total)
-    checks.append(
-        CheckResult(
-            CATEGORY_SUM,
-            category_ok,
-            "energetic_input + structural_input equals total_input"
-            if category_ok
-            else f"energetic_input + structural_input differs from total_input by {category_gap:+.6g} Gt",
-        )
-    )
-
-    recycled_ok = account.recycled_input <= account.structural_input
-    checks.append(
-        CheckResult(
-            RECYCLED_WITHIN_STRUCTURAL,
-            recycled_ok,
-            "recycled_input fits within structural_input"
-            if recycled_ok
-            else f"recycled_input ({account.recycled_input:.6g} Gt) exceeds "
-            f"structural_input ({account.structural_input:.6g} Gt)",
-        )
-    )
-
-    stock_ok = account.net_stock_additions <= account.structural_input
-    checks.append(
-        CheckResult(
-            STOCK_ADDITIONS_WITHIN_STRUCTURAL,
-            stock_ok,
-            "net_stock_additions fit within structural_input"
-            if stock_ok
-            else f"net_stock_additions ({account.net_stock_additions:.6g} Gt) exceed "
-            f"structural_input ({account.structural_input:.6g} Gt)",
-        )
-    )
-
-    residual = account.mass_residual()
-    residual_share = residual / total if total > 0 else math.nan
-    exactly_balanced = abs(residual) <= _EXACT_BALANCE_REL * max(total, 1.0)
-    within_tolerance = (
-        total > 0 and abs(residual) <= account.balance_tolerance * total
-    )
+    category_gap, residual, exactly_balanced, verdicts = _judge(account)
+    positive, category_ok, recycled_ok, stock_ok, balanced = verdicts.values()
+    residual_share = residual / account.total_input if positive else math.nan
     if exactly_balanced:
         balance_message = "outputs sum exactly to total_input"
     else:
         balance_message = (
             f"unexplained residual {residual:.6g} Gt "
             f"({format_percent(residual_share, 2)} of total input) "
-            f"{'within' if within_tolerance else 'exceeds'} the "
+            f"{'within' if balanced else 'exceeds'} the "
             f"{_percent(account.balance_tolerance)} tolerance"
         )
-    checks.append(
-        CheckResult(MASS_BALANCE, exactly_balanced or within_tolerance, balance_message)
+    messages = (
+        "total_input is positive"
+        if positive
+        else "total_input must be positive; every rate downstream divides by it",
+        "energetic_input + structural_input equals total_input"
+        if category_ok
+        else f"energetic_input + structural_input differs from total_input by {category_gap:+.6g} Gt",
+        "recycled_input fits within structural_input"
+        if recycled_ok
+        else f"recycled_input ({account.recycled_input:.6g} Gt) exceeds "
+        f"structural_input ({account.structural_input:.6g} Gt)",
+        "net_stock_additions fit within structural_input"
+        if stock_ok
+        else f"net_stock_additions ({account.net_stock_additions:.6g} Gt) exceed "
+        f"structural_input ({account.structural_input:.6g} Gt)",
+        balance_message,
     )
 
-    if any(not check.passed for check in checks):
+    if not all(verdicts.values()):
         status = ValidationStatus.FAIL
     elif exactly_balanced:
         status = ValidationStatus.PASS
@@ -320,7 +312,7 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
         status=status,
         residual=residual,
         residual_share=residual_share,
-        checks=tuple(checks),
+        checks=tuple(map(CheckResult, verdicts, verdicts.values(), messages)),
     )
 
 

@@ -30,6 +30,7 @@ from .accounts import (
     MAX_PLACES,
     ValidationOutcome,
     ValidationStatus,
+    _fixed,
     format_percent,
     round_half_away,
 )
@@ -84,17 +85,18 @@ class RenderSpec(Record):
 
 
 def format_percent_delta(delta_fraction: float, places: int) -> str:
-    return f"{round_half_away(delta_fraction * 100.0, places):+.{places}f} pp"
+    text = _fixed(delta_fraction * 100.0, places)
+    return f"{text} pp" if text.startswith("-") else f"+{text} pp"
 
 
 def format_mass(gigatonnes: float, places: int) -> str:
-    return f"{round_half_away(gigatonnes, places):.{places}f} Gt"
+    return f"{_fixed(gigatonnes, places)} Gt"
 
 
 def format_money(trillions: float, places: int) -> str:
-    rounded = round_half_away(trillions, places)
-    sign = "-" if rounded < 0 else ""
-    return f"{sign}${abs(rounded):.{places}f}T"
+    text = _fixed(abs(trillions), places)
+    sign = "-" if trillions < 0 and text.strip("0.") else ""  # a zero prints unsigned
+    return f"{sign}${text}T"
 
 
 def _format_money_delta(trillions: float, places: int) -> str:

@@ -21,6 +21,7 @@ from .accounts import (
     MASS_FIELDS,
     MaterialFlowAccount,
     _check_mass_sums,
+    _judge,
     annually_recoverable_input,
     validate,
 )
@@ -220,14 +221,15 @@ def apply_scenario(
             or mass is not conserved after it (the error carries the step
             index), or the result breaks a structural invariant.
     """
-    baseline = validate(account)
-    if not baseline.ok:
-        reasons = "; ".join(v.message for v in baseline.violations)
+    # validate runs only to explain a failed verdict
+    _, baseline_residual, _, verdicts = _judge(account)
+    if not all(verdicts.values()):
+        reasons = "; ".join(v.message for v in validate(account).violations)
         raise ScenarioError(scenario.name, None, f"baseline account fails validation: {reasons}")
 
     bins = _Bins(account)
     factor = None  # the reverse-flow value scaling in force, if any
-    expected_residual = baseline.residual
+    expected_residual = baseline_residual
     slack = float_dust(account.total_input)  # no move changes total_input
     notes = []
 
@@ -280,18 +282,19 @@ def apply_scenario(
         *(getattr(bins, name) for name in MASS_FIELDS),
         account.balance_tolerance,
     )
-    outcome = validate(current)
-    structural_violations = [v for v in outcome.violations if v.invariant != MASS_BALANCE]
-    if structural_violations:
-        reasons = "; ".join(v.message for v in structural_violations)
+    verdicts = _judge(current)[3]
+    if not all(ok for code, ok in verdicts.items() if code != MASS_BALANCE):
+        reasons = "; ".join(
+            v.message for v in validate(current).violations if v.invariant != MASS_BALANCE
+        )
         raise ScenarioError(scenario.name, None, f"transformed account is inconsistent: {reasons}")
 
-    rebooked = expected_residual - baseline.residual
+    rebooked = expected_residual - baseline_residual
     if abs(rebooked) > slack:
         notes.append(
             f"scenario rebooked {rebooked:+.6g} Gt across the input/output boundary; "
             f"balance judged net of that move (underlying residual "
-            f"{baseline.residual:.6g} Gt, within tolerance)"
+            f"{baseline_residual:.6g} Gt, within tolerance)"
         )
 
     if factor is None:

@@ -1,5 +1,6 @@
 """Unit tests for the flow account record, validation and basic operations."""
 
+import random
 import re
 
 import pytest
@@ -13,9 +14,9 @@ from circuflow import (
     validate,
     waste_share,
 )
-from circuflow.accounts import MASS_FIELDS
+from circuflow.accounts import _EXACT_BALANCE_REL, MASS_FIELDS, _judge
 from circuflow.record import float_dust
-from support import reference_account
+from support import random_valid_account, reference_account
 
 
 class TestConstruction:
@@ -140,6 +141,10 @@ class TestValidate:
         outcome = validate(reference_account(balance_tolerance=tolerance))
         assert text in outcome.checks[-1].message
 
+    def test_negative_zero_tolerance_prints_unsigned(self):
+        outcome = validate(reference_account(balance_tolerance=-0.0))
+        assert outcome.checks[-1].message.endswith("exceeds the 0% tolerance")
+
     def test_residual_share_rounds_half_away_from_zero(self):
         # residual 0.125 Gt is 0.125% of 100 Gt: a tie at two places
         account = reference_account(
@@ -164,6 +169,91 @@ class TestValidate:
             "stock_additions_within_structural",
             "mass_balance",
         }
+
+
+def _agrees_with_validate(account):
+    """Assert that ``validate`` reports ``_judge``'s verdicts check by check, with its status."""
+    _, residual, exactly_balanced, verdicts = _judge(account)
+    outcome = validate(account)
+    assert [(c.invariant, c.passed) for c in outcome.checks] == list(verdicts.items())
+    assert outcome.residual == residual
+    if not all(verdicts.values()):
+        assert outcome.status is ValidationStatus.FAIL
+    elif exactly_balanced:
+        assert outcome.status is ValidationStatus.PASS
+    else:
+        assert outcome.status is ValidationStatus.PASS_WITH_WARNING
+    return verdicts
+
+
+def _masses(total, emissions=None, structural_extra=0.0, tolerance=0.05):
+    """A 40/60 account with outputs 50/20/30% of ``total`` unless ``emissions`` is given."""
+    return MaterialFlowAccount(
+        2020,
+        total,
+        0.4 * total,
+        0.6 * total + structural_extra,
+        0.0,
+        0.5 * total if emissions is None else emissions,
+        0.2 * total,
+        0.3 * total,
+        tolerance,
+    )
+
+
+class TestJudgeAgreesWithValidate:
+    def test_generated_accounts(self):
+        rng = random.Random(131)
+        seen = set()
+        for _ in range(1000):
+            account = random_valid_account(rng)
+            field = rng.choice(MASS_FIELDS + ("balance_tolerance", None))
+            if field == "balance_tolerance":
+                account = account.replace(balance_tolerance=rng.choice((0.0, -0.0, 0.01, 1.0)))
+            elif field is not None:
+                value = getattr(account, field) * rng.choice((0.0, 0.5, 1.0 + 1e-9, 1.05, 2.0))
+                account = account.replace(**{field: value})
+            seen.add(tuple(_agrees_with_validate(account).values()))
+        assert len(seen) >= 8, seen  # passing and failing verdicts in several mixes
+
+    # float_dust(1e9) == 1.0 and 0.05 * 1e9 == 5e7 exactly; 1e-12 * 1e12 == 1.0
+    @pytest.mark.parametrize(
+        "at,past,code",
+        [
+            # category gap at float dust
+            (
+                _masses(1e9, structural_extra=1.0),
+                _masses(1e9, structural_extra=1.0 + 2**-23),
+                "category_sum",
+            ),
+            # residual at +-balance_tolerance x total
+            (_masses(1e9, emissions=4.5e8), _masses(1e9, emissions=4.5e8 - 1.0), "mass_balance"),
+            (_masses(1e9, emissions=5.5e8), _masses(1e9, emissions=5.5e8 + 1.0), "mass_balance"),
+            # residual at the exact-balance bound, with no tolerance
+            (
+                _masses(1e12, emissions=5e11 - 1.0, tolerance=0.0),
+                _masses(1e12, emissions=5e11 - 2.0, tolerance=0.0),
+                "mass_balance",
+            ),
+        ],
+    )
+    def test_a_bound_passes_and_a_step_past_it_fails(self, at, past, code):
+        total = at.total_input
+        gap, residual, _, _ = _judge(at)
+        bounds = (
+            abs(gap) - float_dust(total),
+            abs(residual) - at.balance_tolerance * total,
+            abs(residual) - _EXACT_BALANCE_REL * max(total, 1.0),
+        )
+        assert 0.0 in bounds
+        assert _agrees_with_validate(at)[code] is True
+        assert _agrees_with_validate(past)[code] is False
+
+    @pytest.mark.parametrize("emissions", [0.0, 1.0])
+    def test_zero_total_input(self, emissions):
+        verdicts = _agrees_with_validate(_masses(0.0, emissions=emissions, tolerance=1.0))
+        assert verdicts["positive_total_input"] is False
+        assert verdicts["mass_balance"] is (emissions == 0.0)
 
 
 class TestAnnuallyRecoverableInput:

@@ -63,6 +63,12 @@ class TestValidateCommand:
         assert main(["validate", ACCOUNT]) == 2
         assert "exceeds" in capsys.readouterr().out
 
+    def test_env_negative_zero_tolerance_prints_unsigned(self, monkeypatch, capsys):
+        monkeypatch.setenv("CIRCUFLOW_TOLERANCE", "-0.0")
+        assert main(["validate", ACCOUNT]) == 2
+        out = capsys.readouterr().out
+        assert "exceeds the 0% tolerance" in out and "-0%" not in out
+
     def test_env_override_does_not_beat_explicit_tolerance(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CIRCUFLOW_TOLERANCE", "0.02")
         explicit = tmp_path / "explicit.account"

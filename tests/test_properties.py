@@ -502,13 +502,14 @@ def test_percent_text_matches_exact_decimal_expansion():
             places += 1
         digits = str((exact * 10**places).numerator).rjust(places + 1, "0")
         whole, decimals = digits[: len(digits) - places], digits[len(digits) - places :]
-        sign = "-" if math.copysign(1.0, fraction) < 0 else ""
+        sign = "-" if fraction < 0 else ""  # a zero is unsigned, -0.0 included
         return f"{sign}{whole}.{decimals}%" if decimals else f"{sign}{whole}%"
 
     assert _percent(0.015) == "1.5%"
     assert _percent(0.02) == "2%"
     assert _percent(1.0) == "100%"
     assert _percent(0.0) == "0%"
+    assert _percent(-0.0) == "0%"
     assert _percent(1e-20) == "0.000000000000000001%"
     rng = random.Random(124)
     fractions = [0.0, -0.0, 1.0, 5e-324, 1e-20, 0.015, 0.02, 2.2250738585072014e-308]
@@ -520,6 +521,55 @@ def test_percent_text_matches_exact_decimal_expansion():
         )
     for fraction in fractions:
         assert _percent(fraction) == oracle(fraction), fraction
+
+
+def test_formatted_numbers_print_exactly_the_digits_kept():
+    """Every human-format number is the repr rounded half away, then padded with zeros.
+
+    Past 15 places the text shows no binary-expansion digit the repr lacks;
+    where the rounded value has at most 15 significant digits it matches the
+    builtin fixed-point text of the rounded float.
+    """
+    from fractions import Fraction
+
+    from circuflow.render import (
+        format_mass,
+        format_money,
+        format_percent,
+        format_percent_delta,
+        round_half_away,
+    )
+
+    def oracle(value, places):
+        # exact rational arithmetic on the repr, ties away from zero, sign of zero kept
+        scaled = abs(Fraction(repr(value))) * 10**places
+        digits = str(math.floor(scaled + Fraction(1, 2))).rjust(places + 1, "0")
+        text = f"{digits[:-places]}.{digits[-places:]}" if places else digits
+        return text, math.copysign(1.0, value) < 0, digits.strip("0") == ""
+
+    rng = random.Random(125)
+    values = [0.0, -0.0, 8.653846153846153, 0.2727272727272727, 1e22, 2.0**70, 5e-324, -1.7e306]
+    for _ in range(N):
+        values += (
+            rng.uniform(-1.0, 1.0),
+            rng.uniform(-1e6, 1e6),
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30, 30),
+        )
+    for value in values:
+        for places in (rng.randint(16, 40), rng.randint(0, 15)):
+            text, negative, zero = oracle(value, places)
+            sign = "-" if negative else ""
+            assert format_mass(value, places) == f"{sign}{text} Gt", (value, places)
+            money_sign = "-" if negative and not zero else ""
+            assert format_money(value, places) == f"{money_sign}${text}T", (value, places)
+            percent, negative, _ = oracle(value * 100.0, places)
+            sign = "-" if negative else ""
+            assert format_percent(value, places) == f"{sign}{percent}%", (value, places)
+            delta = f"{sign or '+'}{percent} pp"
+            assert format_percent_delta(value, places) == delta, (value, places)
+            if len(text.replace(".", "").lstrip("0")) <= 15:
+                builtin = f"{round_half_away(value, places):.{places}f} Gt"
+                assert format_mass(value, places) == builtin, (value, places)
 
 
 def _machine_values(text):

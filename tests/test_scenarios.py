@@ -329,6 +329,50 @@ class TestRecordsBuiltOnce:
         assert built == {MaterialFlowAccount: 1, EconomicAccount: 1}
 
 
+class TestValidateOnlyOnFailure:
+    """``apply_scenario`` reads the verdicts itself; ``validate`` only explains a failure."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting_validate(account):
+            calls.append(account)
+            return validate(account)
+
+        monkeypatch.setattr(scenarios, "validate", counting_validate)
+        return calls
+
+    def test_a_valid_baseline_and_a_consistent_result_call_it_zero_times(
+        self, account, economy, calls
+    ):
+        steps = (SetRecoveryRate(1.0), ScaleReverseFlowValue(True), ReplaceEnergeticWithStock(0.5))
+        apply_scenario(account, economy, Scenario("ok", steps))
+        assert calls == []
+
+    def test_a_failing_baseline_calls_it_once(self, economy, calls):
+        account = reference_account(balance_tolerance=0.02)
+        with pytest.raises(ScenarioError, match="baseline account fails validation"):
+            apply_scenario(account, economy, Scenario("x", (SetRecoveryRate(1.0),)))
+        assert calls == [account]
+
+    def test_a_failing_final_recheck_calls_it_once(self, economy, calls):
+        account = MaterialFlowAccount(
+            2020,
+            296.43685292580875,
+            47.61014733243108,
+            248.82670529694082,
+            0.0,
+            249.0742599395342,
+            24.88267052969408,
+            22.479922456580493,
+        )
+        scenario = Scenario("x", (ReplaceEnergeticWithStock(0.7446149536820029),))
+        with pytest.raises(ScenarioError, match="transformed account is inconsistent"):
+            apply_scenario(account, economy, scenario)
+        assert len(calls) == 1 and calls[0] != account
+
+
 class TestNotes:
     def test_notes_follow_step_order_with_the_rebooked_mass_last(self, account, economy):
         # A zero-mass rebook and a disabled scale step write no note.
