@@ -203,7 +203,29 @@ def _fixed(value: float, places: int) -> str:
     The first dropped digit alone decides a tie (2.675 at two places is "2.68"),
     and the text never shows a digit the repr lacks: 8.653846153846153 at 17
     places is "8.65384615384615300".  -0.004 at two places is "-0.00".
+
+    ``_fixed_digits`` states the rule on the repr's digits; this is the same
+    rule with a fast path.  A repr with at most ``places`` decimals is padded.
+    A repr with more decimals, short of 1e15, in no exponent form and not on
+    a tie (exactly ``places + 1`` decimals ending in 5) goes to fixed-point
+    ``%f`` formatting, which rounds the exact binary value.  Off a tie the
+    shortest repr and the binary value lie on the same side of every rounding
+    midpoint: a midpoint strictly between them would round-trip, be no longer
+    than the repr and lie nearer the value, so it would be the repr.  Every
+    other value, NaN and the infinities included, takes the digit rule.
     """
+    text = repr(value)
+    if -1e15 < value < 1e15 and "e" not in text:
+        decimals = len(text) - text.index(".") - 1
+        if decimals <= places:
+            return text + "0" * (places - decimals)
+        if decimals != places + 1 or text[-1] != "5":
+            return "%.*f" % (places, value)  # format(value, f".{places}f"), a third faster
+    return _fixed_digits(value, places)
+
+
+def _fixed_digits(value: float, places: int) -> str:
+    """``_fixed`` worked out on the repr's digits: the rule, and its fast path's reference."""
     if not math.isfinite(value):
         return repr(value)
     whole, fraction = _repr_decimal(value)

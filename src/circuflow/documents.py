@@ -14,14 +14,23 @@ Masses may be tagged t/kt/Mt/Gt via the ``unit`` key and are converted to
 gigatonnes on load.  docs/file-formats.md publishes the schema tables (a
 test checks them against the ones here) and the order in which faults are
 reported.
+
+Each document is read in one pass over its lines.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import TYPE_CHECKING
 
-from .accounts import CANONICAL_MASS_UNIT, GT_PER_UNIT, MASS_FIELDS, MaterialFlowAccount
+from .accounts import (
+    CANONICAL_MASS_UNIT,
+    DEFAULT_BALANCE_TOLERANCE,
+    GT_PER_UNIT,
+    MASS_FIELDS,
+    MaterialFlowAccount,
+)
 from .errors import DocumentError, ProvenanceWarning
 from .record import check_fraction, check_mass, check_money
 
@@ -35,7 +44,7 @@ if TYPE_CHECKING:
     from .valuemap import EconomicAccount, SectorValue
 
     #: key -> (type as written in the docs, required, value parser).  A
-    #: ``repeated`` row has no parser: its entries go back to the caller.
+    #: ``repeated`` row has no parser here: the caller hands ``_read`` one.
     Schema = dict[str, tuple[str, bool, Callable[[str, str], Any] | None]]
 
 # parse_economy and parse_scenario import their record modules once per
@@ -104,71 +113,75 @@ SCENARIO_SCHEMA: Schema = {
 }
 
 
-def _read(text: str, schema: Schema) -> dict[str, Any]:
-    """Check ``text`` against ``schema`` and parse its scalar values.
+def _read(
+    text: str, schema: Schema, parse_entry: Callable[[str], Any] | None = None
+) -> dict[str, Any]:
+    """Check ``text`` against ``schema`` and parse each value, faults in the documented order.
 
-    Returns the parsed value of each key present; a repeated key maps to its
-    ``(line, text)`` entries in line order.  Faults are raised in the order
-    docs/file-formats.md states.
+    Returns each present key's value, and the repeated key's ``parse_entry`` records.
     """
+    # A grammar fault is raised at once.  The first key fault and the first
+    # entry fault are held while the later lines are read, since a later
+    # grammar fault outranks both.  After the last line come the key fault, a
+    # missing key, the scalar value faults in table order and the entry fault:
+    # the documented order, because the repeated row is each table's last.
     # A leading byte-order mark is encoding residue, not part of the first key.
     if text.startswith("\ufeff"):
         text = text[1:]
-    entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    found: dict[str, Any] = {}
+    entries: list = []
+    key_fault = entry_fault = None
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        key, equals, value = line.partition("=")
+        if not equals:
+            if line.strip():
+                raise DocumentError("expected 'key = value'", line=line_no)
             continue
-        if "=" not in line:
-            raise DocumentError("expected 'key = value'", line=line_no)
-        key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
             raise DocumentError("missing key before '='", line=line_no)
         if not value:
             raise DocumentError("missing value after '='", line=line_no, field=key)
-        entries.append((line_no, key, value))
-
-    found: dict[str, Any] = {}
-    for line_no, key, value in entries:
+        if key_fault is not None:
+            continue
         row = schema.get(key)
         if row is None:
-            raise DocumentError("unknown key", line=line_no, field=key)
-        if row[0] == "repeated":
-            found.setdefault(key, []).append((line_no, value))
+            key_fault = DocumentError("unknown key", line=line_no, field=key)
+        elif row[0] == "repeated":
+            if entry_fault is None:
+                try:
+                    entries.append(parse_entry(value))
+                except ValueError as exc:
+                    entry_fault = DocumentError(str(exc), line=line_no, field=key)
         elif key in found:
-            raise DocumentError(
+            key_fault = DocumentError(
                 f"duplicate key (first seen on line {found[key][0]})", line=line_no, field=key
             )
         else:
             found[key] = (line_no, value)
 
-    for key, (_, required, _) in schema.items():
-        if required and key not in found:
+    if key_fault is not None:
+        raise key_fault
+    value_fault = None
+    for key, (kind, required, parse) in schema.items():
+        if kind == "repeated":
+            found[key] = entries
+        elif key in found:
+            if value_fault is None:
+                line_no, value = found[key]
+                try:
+                    found[key] = parse(value, key)
+                except ValueError as exc:
+                    value_fault = DocumentError(str(exc), line=line_no, field=key)
+        elif required:
             raise DocumentError("missing required field", field=key)
-    for key, (_, _, parse) in schema.items():
-        if parse is not None and key in found:
-            line_no, value = found[key]
-            try:
-                found[key] = parse(value, key)
-            except ValueError as exc:
-                raise DocumentError(str(exc), line=line_no, field=key) from None
+    fault = value_fault or entry_fault
+    if fault is not None:
+        raise fault
     return found
-
-
-def _parse_each(entries: list, key: str, shape: str, parse: Callable, module: ModuleType):
-    """Parse the ``(line, text)`` entries of ``key = <shape>`` with ``parse(module, *fields)``."""
-    parsed = []
-    for line, text in entries:
-        fields = [field.strip() for field in text.split(",")]
-        try:
-            if len(fields) != shape.count(",") + 1:
-                raise ValueError(f"expected '{key} = {shape}'")
-            parsed.append(parse(module, *fields))
-        except ValueError as exc:
-            raise DocumentError(str(exc), line=line, field=key) from None
-    return tuple(parsed)
 
 
 def _write(schema: Schema, record: Record, entries: Iterable[str] = (), **given: object) -> str:
@@ -195,13 +208,16 @@ def parse_account(text: str, *, default_tolerance: float | None = None) -> Mater
     ``balance_tolerance`` key (``None`` means the library default).
     """
     values = _read(text, ACCOUNT_SCHEMA)
-    factor = GT_PER_UNIT[values.pop("unit", CANONICAL_MASS_UNIT)]
+    factor = GT_PER_UNIT[values.get("unit", CANONICAL_MASS_UNIT)]
     for name in MASS_FIELDS:
         values[name] *= factor
-    if "balance_tolerance" not in values and default_tolerance is not None:
-        values["balance_tolerance"] = default_tolerance
+    tolerance = values.get("balance_tolerance", default_tolerance)
     try:
-        return MaterialFlowAccount(**values)
+        return MaterialFlowAccount(
+            values["year"],
+            *map(values.__getitem__, MASS_FIELDS),
+            DEFAULT_BALANCE_TOLERANCE if tolerance is None else tolerance,
+        )
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -211,33 +227,42 @@ def render_account(account: MaterialFlowAccount) -> str:
     return _write(ACCOUNT_SCHEMA, account, unit=CANONICAL_MASS_UNIT)
 
 
-def _parse_sector(valuemap: ModuleType, name: str, value: str, category: str) -> SectorValue:
+def _parse_sector(valuemap: ModuleType, text: str) -> SectorValue:
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise ValueError("expected 'sector = name, value, category'")
+    name, value, category = map(str.strip, fields)
     return valuemap.SectorValue(name, _parse_float(value, "sector value"), category)
 
 
 def parse_economy(text: str) -> EconomicAccount:
     """Parse an economy document.
 
-    A missing ``cfc_rate`` defaults to the global-average estimate and is
-    flagged with a ProvenanceWarning.
+    A missing ``cfc_rate`` defaults to the global-average estimate and an
+    accepted document without one is flagged with a ProvenanceWarning.
     """
     from . import valuemap
 
-    values = _read(text, ECONOMY_SCHEMA)
-    if "cfc_rate" not in values:  # EconomicAccount's default
+    values = _read(text, ECONOMY_SCHEMA, partial(_parse_sector, valuemap))
+    try:
+        economy = valuemap.EconomicAccount(
+            values["year"],
+            values["gdp"],
+            values["gfcf_rate"],
+            values.get("cfc_rate", valuemap.DEFAULT_CFC_RATE),
+            values["sector"],
+            values.get("services_share"),
+        )
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+    if "cfc_rate" not in values:
         warnings.warn(
-            f"cfc_rate missing; defaulting to {valuemap.DEFAULT_CFC_RATE} "
+            f"cfc_rate missing; defaulting to {economy.cfc_rate} "
             "(global-average estimate, no single published value)",
             ProvenanceWarning,
             stacklevel=2,
         )
-    values["sectors"] = _parse_each(
-        values.pop("sector", []), "sector", "name, value, category", _parse_sector, valuemap
-    )
-    try:
-        return valuemap.EconomicAccount(**values)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return economy
 
 
 def render_economy(economy: EconomicAccount) -> str:
@@ -248,7 +273,12 @@ def render_economy(economy: EconomicAccount) -> str:
     )
 
 
-def _parse_step(scenarios: ModuleType, op: str, parameter: str) -> Transformation:
+def _parse_step(scenarios: ModuleType, text: str) -> Transformation:
+    op, comma, parameter = text.partition(",")
+    if not comma or "," in parameter:
+        raise ValueError("expected 'step = op, parameter'")
+    op = op.strip()
+    parameter = parameter.strip()
     cls = scenarios.STEP_OPS.get(op)
     if cls is None:
         known = ", ".join(sorted(scenarios.STEP_OPS))
@@ -256,16 +286,15 @@ def _parse_step(scenarios: ModuleType, op: str, parameter: str) -> Transformatio
     if cls is scenarios.ScaleReverseFlowValue:
         if parameter not in ("on", "off"):
             raise ValueError(f"expected 'on' or 'off', got {parameter!r}")
-        return cls(enabled=parameter == "on")
-    return cls(fraction=_parse_float(parameter, "fraction"))
+        return cls(parameter == "on")
+    return cls(_parse_float(parameter, "fraction"))
 
 
 def parse_scenario(text: str) -> Scenario:
     from . import scenarios
 
-    values = _read(text, SCENARIO_SCHEMA)
-    steps = _parse_each(values.get("step", []), "step", "op, parameter", _parse_step, scenarios)
-    return scenarios.Scenario(name=values["name"], steps=steps)
+    values = _read(text, SCENARIO_SCHEMA, partial(_parse_step, scenarios))
+    return scenarios.Scenario(values["name"], values["step"])
 
 
 def render_scenario(scenario: Scenario) -> str:

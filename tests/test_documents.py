@@ -1,5 +1,7 @@
 """Unit tests for the flat key-value document layer."""
 
+import warnings
+
 import pytest
 
 from circuflow import (
@@ -111,6 +113,18 @@ class TestParseEconomy:
         with pytest.warns(ProvenanceWarning, match="cfc_rate"):
             economy = parse_economy(text)
         assert economy.cfc_rate == 0.13
+
+    @pytest.mark.parametrize(
+        "sectors",
+        ["a, -1, reverse_flow", "a, 1e308, reverse_flow\nsector = b, 1e308, dissipative_flow"],
+        ids=["bad entry", "overflowing sum"],
+    )
+    def test_a_rejected_document_gets_no_cfc_warning(self, sectors):
+        text = f"year = 2020\ngdp = 1.7e308\ngfcf_rate = 0.26\nsector = {sectors}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ProvenanceWarning)
+            with pytest.raises(DocumentError, match="sector"):
+                parse_economy(text)
 
     def test_bad_sector_shape(self):
         with pytest.raises(DocumentError, match="sector"):
@@ -275,3 +289,91 @@ def test_several_faults_report_the_first_in_the_documented_order():
     ]
     assert fault(parse_economy, economy)[:2] == (3, "gdp")
     assert fault(parse_economy, economy[:2] + ["gdp = 86"] + economy[3:])[:2] == (1, "sector")
+
+    # A bad entry is a value fault of the last row, so every later-ranked
+    # fault wins over it, wherever its line.  The order needs the repeated
+    # row to be the last row of each table.
+    for schema in (ACCOUNT_SCHEMA, ECONOMY_SCHEMA, SCENARIO_SCHEMA):
+        assert "repeated" not in [kind for kind, _, _ in schema.values()][:-1]
+    year, gdp, gfcf, cfc = "year = 2020", "gdp = 86", "gfcf_rate = 0.26", "cfc_rate = 0.13"
+    bad_sector = "sector = x, -1, reverse_flow"
+    assert fault(parse_economy, [bad_sector, year, gdp, gfcf, cfc, "bogus = 1"])[:2] == (
+        6,
+        "bogus",
+    )
+    line, field, message = fault(parse_economy, [bad_sector, year, gdp, gfcf, cfc, "gdp = 87"])
+    assert (line, field) == (6, "gdp") and "first seen on line 3" in message
+    line, field, message = fault(parse_economy, [bad_sector, year, gdp, gfcf, cfc, "just words"])
+    assert (line, field) == (6, None) and "expected 'key = value'" in message
+    assert fault(parse_economy, [bad_sector, year, gdp, cfc])[:2] == (None, "gfcf_rate")
+    assert fault(parse_economy, [bad_sector, year, gdp, "gfcf_rate = 1.5", cfc])[:2] == (
+        4,
+        "gfcf_rate",
+    )
+    line, field, message = fault(parse_economy, [year, gdp, "sector = y", gfcf, bad_sector, cfc])
+    assert (line, field) == (3, "sector") and "expected 'sector = name, value" in message
+    line, field, message = fault(
+        parse_economy, [year, bad_sector, gdp, "sector = y, 1, sideways_flow", gfcf, cfc]
+    )
+    assert (line, field) == (2, "sector") and "non-negative" in message
+
+    # A scenario's one scalar, name, reads any text, so it has no bad value.
+    bad_step = "step = set_recovery_rate, 1.5"
+    assert fault(parse_scenario, [bad_step, "name = x", "bogus = 1"])[:2] == (3, "bogus")
+    line, field, message = fault(parse_scenario, [bad_step, "name = x", "name = y"])
+    assert (line, field) == (3, "name") and "first seen on line 2" in message
+    line, field, message = fault(parse_scenario, [bad_step, "name = x", "just words"])
+    assert (line, field) == (3, None) and "expected 'key = value'" in message
+    assert fault(parse_scenario, [bad_step])[:2] == (None, "name")
+    line, field, message = fault(
+        parse_scenario, ["name = x", "step = melt, 1", bad_step, "step = a, b, c"]
+    )
+    assert (line, field) == (2, "step") and "unknown op 'melt'" in message
+    line, field, message = fault(parse_scenario, ["step = a, b, c", bad_step, "name = x"])
+    assert (line, field) == (1, "step") and "expected 'step = op, parameter'" in message
+
+
+LINE_BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _padded(lines, pad):
+    """``lines`` with ``pad`` on both sides of each key and value."""
+    padded = []
+    for line in lines:
+        key, equals, value = line.partition("=")
+        if equals and not line.startswith("#"):
+            line = f"{pad}{key.strip()}{pad}={pad}{value.strip()}{pad}"
+        padded.append(line)
+    return padded
+
+
+@pytest.mark.parametrize("newline", LINE_BREAKS, ids=repr)
+@pytest.mark.parametrize(
+    "parse,path",
+    [(parse_economy, ECONOMY_PATH), (parse_scenario, FULL_RECOVERY_PATH)],
+    ids=["economy", "scenario"],
+)
+class TestLineBreaksAndWhitespace:
+    """Every ``str.splitlines`` break ends a line; whitespace around keys and values is dropped."""
+
+    def test_each_break_reads_like_a_newline(self, parse, path, newline):
+        lines = path.read_text().splitlines()
+        expected = parse("\n".join(lines) + "\n")
+        for bom in ("", "\ufeff"):
+            for pad in ("", "\x1f", "\u3000", " \x1f\u3000\t"):
+                assert parse(bom + newline.join(_padded(lines, pad)) + newline) == expected
+
+    def test_a_fault_names_its_line(self, parse, path, newline):
+        lines = path.read_text().splitlines()
+        faults = {
+            "just words": "expected 'key = value'",
+            "year # = 2020": "expected 'key = value'",
+            "\u3000bogus\x1f= 1": "unknown key",
+        }
+        for bom in ("", "\ufeff"):
+            for number in (1, 2, len(lines)):
+                for bad, message in faults.items():
+                    faulty = lines[: number - 1] + [bad] + lines[number:]
+                    with pytest.raises(DocumentError) as info:
+                        parse(bom + newline.join(faulty))
+                    assert info.value.line == number and message in str(info.value)

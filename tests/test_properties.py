@@ -528,10 +528,15 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
 
     Past 15 places the text shows no binary-expansion digit the repr lacks;
     where the rounded value has at most 15 significant digits it matches the
-    builtin fixed-point text of the rounded float.
+    builtin fixed-point text of the rounded float.  ``_fixed`` takes its
+    ``format`` fast path off a tie; on every draw it must equal the digit rule
+    it shortcuts, and the draws crowd its boundaries: 1e14 to 1e16, reprs
+    with exactly ``places + 1`` decimals (ties end in 5), zeros of either
+    sign, and the 0 to 3 places of a table's percentages.
     """
     from fractions import Fraction
 
+    from circuflow.accounts import _fixed, _fixed_digits
     from circuflow.render import (
         format_mass,
         format_money,
@@ -555,21 +560,39 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
             rng.uniform(-1e6, 1e6),
             rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30, 30),
         )
-    for value in values:
-        for places in (rng.randint(16, 40), rng.randint(0, 15)):
-            text, negative, zero = oracle(value, places)
-            sign = "-" if negative else ""
-            assert format_mass(value, places) == f"{sign}{text} Gt", (value, places)
-            money_sign = "-" if negative and not zero else ""
-            assert format_money(value, places) == f"{money_sign}${text}T", (value, places)
-            percent, negative, _ = oracle(value * 100.0, places)
-            sign = "-" if negative else ""
-            assert format_percent(value, places) == f"{sign}{percent}%", (value, places)
-            delta = f"{sign or '+'}{percent} pp"
-            assert format_percent_delta(value, places) == delta, (value, places)
-            if len(text.replace(".", "").lstrip("0")) <= 15:
-                builtin = f"{round_half_away(value, places):.{places}f} Gt"
-                assert format_mass(value, places) == builtin, (value, places)
+    draws = [
+        (value, places) for value in values for places in (rng.randint(16, 40), rng.randint(0, 15))
+    ]
+    draws += [(zero, places) for zero in (0.0, -0.0) for places in range(6)]
+    for _ in range(N):
+        side = rng.choice((-1.0, 1.0))
+        places = rng.randint(0, 6)
+        whole = rng.choice((rng.randint(0, 999), rng.randint(10**13, 10**15)))
+        decimals = "".join(rng.choice("0123456789") for _ in range(places))
+        last = rng.choice("5555123467890")  # a tie at ``places`` when the repr keeps the 5
+        draws += (
+            (side * float(f"{whole}.{decimals}{last}"), places),
+            (side * rng.uniform(1e14, 1e16), rng.randint(0, 17)),
+            (-rng.random() * 0.5 * 10.0**-places, places),  # rounds to a negative zero
+            (rng.uniform(-1.0, 1.0), rng.randint(0, 3)),
+            (round(rng.random(), rng.randint(1, 5)), rng.randint(0, 3)),  # x100 lands on ties
+        )
+    for value, places in draws:
+        for shown in (value, value * 100.0):
+            assert _fixed(shown, places) == _fixed_digits(shown, places), (shown, places)
+        text, negative, zero = oracle(value, places)
+        sign = "-" if negative else ""
+        assert format_mass(value, places) == f"{sign}{text} Gt", (value, places)
+        money_sign = "-" if negative and not zero else ""
+        assert format_money(value, places) == f"{money_sign}${text}T", (value, places)
+        percent, negative, _ = oracle(value * 100.0, places)
+        sign = "-" if negative else ""
+        assert format_percent(value, places) == f"{sign}{percent}%", (value, places)
+        delta = f"{sign or '+'}{percent} pp"
+        assert format_percent_delta(value, places) == delta, (value, places)
+        if len(text.replace(".", "").lstrip("0")) <= 15:
+            builtin = f"{round_half_away(value, places):.{places}f} Gt"
+            assert format_mass(value, places) == builtin, (value, places)
 
 
 def _machine_values(text):
