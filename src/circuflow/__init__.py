@@ -20,7 +20,6 @@ _EXPORTS = {
     "MaterialFlowAccount": "accounts",
     "ValidationOutcome": "accounts",
     "ValidationStatus": "accounts",
-    "annually_recoverable_input": "accounts",
     "validate": "accounts",
     "waste_share": "accounts",
     "AccountInvariantError": "errors",

@@ -18,7 +18,9 @@ downstream formula ever sees a mixed unit.
 Accounts are immutable values.  ``_judge`` states each cross-field rule once;
 ``validate``, a pure function, reports its verdicts with their messages.
 Construction only rejects field-level nonsense (negative or non-finite
-masses, and masses whose sums overflow to infinity).
+masses, and masses whose sums overflow to infinity).  ``DENOMINATORS`` states
+each mass a rate divides by once: ``metrics`` re-exports it, and the scenario
+steps read the annually recoverable pool from it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import AccountInvariantError, UndefinedDenominatorError
+from .errors import UndefinedDenominatorError
 from .record import Record, check_fraction, check_mass, check_year, float_dust, set_field
 
 DEFAULT_BALANCE_TOLERANCE = 0.05
@@ -57,6 +59,17 @@ CATEGORY_SUM = "category_sum"
 RECYCLED_WITHIN_STRUCTURAL = "recycled_within_structural"
 STOCK_ADDITIONS_WITHIN_STRUCTURAL = "stock_additions_within_structural"
 MASS_BALANCE = "mass_balance"
+
+#: (report field, label, account fields: the first minus the rest), in report order.
+DENOMINATORS = (
+    ("denominator_total", "total input", ("total_input",)),
+    ("denominator_recoverable", "non-dissipative", ("total_input", "energetic_input")),
+    (
+        "denominator_annually_recoverable",
+        "annually recoverable",
+        ("total_input", "energetic_input", "net_stock_additions"),
+    ),
+)
 
 
 def _check_mass_sums(masses: MaterialFlowAccount) -> None:
@@ -338,20 +351,17 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     )
 
 
-def annually_recoverable_input(account: MaterialFlowAccount) -> float:
-    """Structural input minus what this year locked into long-lived stocks.
+def _mass(account: MaterialFlowAccount, fields: tuple[str, ...]) -> float:
+    """One ``DENOMINATORS`` row's mass of ``account``: its first field minus the rest."""
+    mass = getattr(account, fields[0])
+    for name in fields[1:]:
+        mass -= getattr(account, name)
+    return mass
 
-    Raises:
-        AccountInvariantError: If stock additions exceed structural input
-            (such an account also fails ``validate``).
-    """
-    leftover = account.structural_input - account.net_stock_additions
-    if leftover < 0:
-        raise AccountInvariantError(
-            f"net_stock_additions ({account.net_stock_additions:.6g} Gt) exceed "
-            f"structural_input ({account.structural_input:.6g} Gt)"
-        )
-    return leftover
+
+def _masses(account: MaterialFlowAccount) -> dict[str, float]:
+    """Every ``DENOMINATORS`` mass of ``account``, by report field."""
+    return {key: _mass(account, fields) for key, _, fields in DENOMINATORS}
 
 
 def waste_share(account: MaterialFlowAccount) -> float:

@@ -47,8 +47,10 @@ class ScenarioError(CircuflowError):
 
     ``step_index`` is 0-based and names the step whose precondition failed,
     whose result no record accepts, or after which mass was not conserved.
-    ``None`` means only baseline validation or the final re-check of the
-    structural invariants failed.
+    ``None`` means the baseline failed validation, or the result failed the
+    final re-check, which judges the category sum and recycled_input within
+    structural_input net of the baseline's category gap: ``validate`` on a
+    result may still report a dust-level gap the baseline was just inside.
     """
 
     def __init__(self, scenario: str, step_index: int | None, reason: str) -> None:

@@ -8,8 +8,8 @@ input is admitted to the denominator:
     real                  recycled / (total - energetic - net stock additions)
     potential ceiling     (total - energetic) / total
 
-``DENOMINATORS`` and ``RATES`` are the one place each formula, label and
-error context is written; the functions here and the renderers read them.
+``DENOMINATORS`` (in ``accounts``) and ``RATES`` state each formula, label and
+error context once; the functions here and the renderers read them.
 Metrics return exact quotients; rounding to presentation percentages is
 the rendering layer's job.  Zero denominators raise named errors instead
 of collapsing to 0 or 1: a fully dissipative economy has no defined
@@ -18,20 +18,10 @@ circularity, which is worth saying out loud.
 
 from __future__ import annotations
 
-from .accounts import MaterialFlowAccount
+from .accounts import DENOMINATORS, MaterialFlowAccount, _masses
 from .errors import MetricDomainError, UndefinedDenominatorError
 from .record import Record, float_dust, set_field
 
-#: (report field, label, account fields: the first minus the rest), in report order.
-DENOMINATORS = (
-    ("denominator_total", "total input", ("total_input",)),
-    ("denominator_recoverable", "non-dissipative", ("total_input", "energetic_input")),
-    (
-        "denominator_annually_recoverable",
-        "annually recoverable",
-        ("total_input", "energetic_input", "net_stock_additions"),
-    ),
-)
 #: (rate key, label, error context, numerator field, denominator field), in report order.
 RATES = (
     ("apparent", "apparent", "apparent_circularity", "recycled_input", "denominator_total"),
@@ -76,17 +66,6 @@ class CircularityReport(Record):
 
     def rates(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in _RATE_ROWS}
-
-
-def _masses(account: MaterialFlowAccount) -> dict[str, float]:
-    """Every ``DENOMINATORS`` mass of ``account``: its first field minus the rest."""
-    masses = {}
-    for key, _, fields in DENOMINATORS:
-        mass = getattr(account, fields[0])
-        for name in fields[1:]:
-            mass -= getattr(account, name)
-        masses[key] = mass
-    return masses
 
 
 def _rate(account: MaterialFlowAccount, key: str, masses: dict[str, float] | None = None) -> float:

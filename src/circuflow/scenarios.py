@@ -17,12 +17,12 @@ built once, after the last step.
 from __future__ import annotations
 
 from .accounts import (
-    MASS_BALANCE,
+    DENOMINATORS,
     MASS_FIELDS,
     MaterialFlowAccount,
     _check_mass_sums,
     _judge,
-    annually_recoverable_input,
+    _mass,
     validate,
 )
 from .errors import ScenarioError
@@ -49,8 +49,9 @@ from .valuemap import (
 class SetRecoveryRate(Record):
     """Set recycled_input to ``fraction`` of the annually recoverable pool.
 
-    The change is taken from (or, when lowering the rate, returned to) the
-    waste bin: recovered material is exactly the would-be waste.
+    The pool is the real rate's ``DENOMINATORS`` row, so 1.0 gives a real rate
+    of exactly 1.  The change is taken from (or, when lowering the rate,
+    returned to) the waste bin: recovered material is exactly the would-be waste.
     """
 
     __slots__ = ("fraction",)
@@ -163,7 +164,7 @@ _OUTPUT_BINS = frozenset(("emissions_output", "waste_output", "net_stock_additio
 
 
 def _recover(account: _Bins, fraction: float) -> _Move:
-    new_recycled = fraction * annually_recoverable_input(account)
+    new_recycled = fraction * _mass(account, DENOMINATORS[2][2])  # the real rate's pool
     increase = new_recycled - account.recycled_input
     new_waste = account.waste_output - increase
     if new_waste < 0:
@@ -215,14 +216,19 @@ def apply_scenario(
 ) -> ScenarioResult:
     """Apply a scenario's steps left to right and recompute both reports.
 
+    Like the residual, the result is judged by what the steps changed: the
+    category sum, and recycled_input within structural_input, net of the
+    baseline's category gap.  No move changes total_input, and each keeps
+    stock additions within structural input, so those need no re-check.
+
     Raises:
         ScenarioError: If the baseline account fails validation, a step's
             precondition fails, a record check rejects one of its new values
             or mass is not conserved after it (the error carries the step
-            index), or the result breaks a structural invariant.
+            index), or the result breaks a judged invariant.
     """
     # validate runs only to explain a failed verdict
-    _, baseline_residual, _, verdicts = _judge(account)
+    baseline_gap, baseline_residual, _, verdicts = _judge(account)
     if not all(verdicts.values()):
         reasons = "; ".join(v.message for v in validate(account).violations)
         raise ScenarioError(scenario.name, None, f"baseline account fails validation: {reasons}")
@@ -282,12 +288,16 @@ def apply_scenario(
         *(getattr(bins, name) for name in MASS_FIELDS),
         account.balance_tolerance,
     )
-    verdicts = _judge(current)[3]
-    if not all(ok for code, ok in verdicts.items() if code != MASS_BALANCE):
-        reasons = "; ".join(
-            v.message for v in validate(current).violations if v.invariant != MASS_BALANCE
-        )
-        raise ScenarioError(scenario.name, None, f"transformed account is inconsistent: {reasons}")
+    drift = bins.energetic_input + bins.structural_input - account.total_input - baseline_gap
+    excess = bins.recycled_input - bins.structural_input + baseline_gap
+    reasons = []
+    if abs(drift) > slack:
+        reasons.append(f"energetic_input + structural_input moved {drift:+.6g} Gt off total_input")
+    if excess > slack:
+        reasons.append(f"recycled_input exceeds structural_input by {excess:.6g} Gt")
+    if reasons:
+        reason = "transformed account is inconsistent: " + "; ".join(reasons)
+        raise ScenarioError(scenario.name, None, reason)
 
     rebooked = expected_residual - baseline_residual
     if abs(rebooked) > slack:

@@ -144,8 +144,9 @@ def reference_steps(fields: dict, sector_values: list, categories: list, steps: 
     values = list(sector_values)
     for index, (op, parameter) in enumerate(steps):
         if op == "set_recovery_rate":
-            # recycled becomes f x (structural - stock additions); the change leaves the waste bin
-            recycled = parameter * (mass["structural_input"] - mass["net_stock_additions"])
+            # recycled becomes f x (total - energetic - stock additions); the change leaves waste
+            pool = mass["total_input"] - mass["energetic_input"] - mass["net_stock_additions"]
+            recycled = parameter * pool
             waste = mass["waste_output"] - (recycled - mass["recycled_input"])
             if waste < 0:
                 return index, None, None

@@ -6,14 +6,14 @@ import re
 import pytest
 
 from circuflow import (
-    AccountInvariantError,
     MaterialFlowAccount,
     UndefinedDenominatorError,
     ValidationStatus,
-    annually_recoverable_input,
+    real_circularity,
     validate,
     waste_share,
 )
+from circuflow import accounts
 from circuflow.accounts import _EXACT_BALANCE_REL, MASS_FIELDS, _judge
 from circuflow.record import float_dust
 from support import random_valid_account, reference_account
@@ -256,9 +256,14 @@ class TestJudgeAgreesWithValidate:
         assert verdicts["mass_balance"] is (emissions == 0.0)
 
 
+def annually_recoverable_input(account):
+    """The ``DENOMINATORS`` row that the real rate and ``set_recovery_rate`` both read."""
+    return accounts._masses(account)["denominator_annually_recoverable"]
+
+
 class TestAnnuallyRecoverableInput:
     def test_reference(self, account):
-        assert annually_recoverable_input(account) == pytest.approx(33.0, abs=1e-12)
+        assert annually_recoverable_input(account) == 33.0
 
     def test_no_stock_lock_in(self):
         assert annually_recoverable_input(reference_account(net_stock_additions=0.0)) == 64.0
@@ -267,8 +272,11 @@ class TestAnnuallyRecoverableInput:
         assert annually_recoverable_input(reference_account(net_stock_additions=64.0)) == 0.0
 
     def test_negative_pool_is_an_error(self):
-        with pytest.raises(AccountInvariantError):
-            annually_recoverable_input(reference_account(net_stock_additions=70.0))
+        # 104 - 40 - 70 < 0: the real rate names the row's formula
+        with pytest.raises(
+            UndefinedDenominatorError, match="total_input - energetic_input - net_stock_additions"
+        ):
+            real_circularity(reference_account(net_stock_additions=70.0))
 
 
 class TestWasteShare:

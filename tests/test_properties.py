@@ -17,7 +17,6 @@ from circuflow import (
     SectorValue,
     SetRecoveryRate,
     ValidationStatus,
-    annually_recoverable_input,
     apparent_circularity,
     apply_scenario,
     attribute_value,
@@ -28,6 +27,8 @@ from circuflow import (
     validate,
     waste_share,
 )
+from circuflow.accounts import _masses
+from circuflow.record import float_dust
 from support import random_economy, random_valid_account, reference_steps, scale_account
 
 N = 1000
@@ -131,7 +132,8 @@ def test_recoverable_ordering():
     rng = random.Random(105)
     for _ in range(N):
         account = random_valid_account(rng)
-        assert account.structural_input >= annually_recoverable_input(account) >= 0.0
+        pool = _masses(account)["denominator_annually_recoverable"]
+        assert account.structural_input >= pool >= 0.0
 
 
 def test_exactly_balanced_accounts_pass_clean():
@@ -344,6 +346,15 @@ def test_random_step_compositions_conserve_mass():
     assert applied > N // 2  # the fuzz must mostly exercise the success path
 
 
+def _written(step) -> tuple:
+    """A step as a scenario document writes it: ``(op, parameter)``."""
+    from circuflow.scenarios import OP_NAMES
+
+    if hasattr(step, "enabled"):
+        return OP_NAMES[type(step)], "on" if step.enabled else "off"
+    return OP_NAMES[type(step)], step.fraction
+
+
 def test_step_chains_match_the_plain_dict_reference_exactly():
     """8-64-step chains of the four ops equal a step-by-step reference, field by field.
 
@@ -361,7 +372,6 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
         ScenarioError,
     )
     from circuflow.accounts import MASS_FIELDS
-    from circuflow.scenarios import OP_NAMES
 
     rng = random.Random(118)
     step_makers = (
@@ -370,11 +380,6 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
         lambda r: ReplaceEnergeticWithStock(r.random() * 0.2),
         lambda r: ScaleReverseFlowValue(r.random() < 0.7),
     )
-
-    def written(step):
-        if type(step) is ScaleReverseFlowValue:
-            return "on" if step.enabled else "off"
-        return step.fraction
 
     outcomes = {"applied": 0, "broken": 0, "report_error": 0}
     for _ in range(N):
@@ -394,7 +399,7 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
             {name: getattr(account, name) for name in MASS_FIELDS},
             [sector.value for sector in economy.sectors],
             [sector.category for sector in economy.sectors],
-            [(OP_NAMES[type(step)], written(step)) for step in steps],
+            [_written(step) for step in steps],
         )
         try:
             result = apply_scenario(account, economy, Scenario("chain", steps))
@@ -417,6 +422,90 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
             assert getattr(result.account, name) == masses[name], name
         assert [sector.value for sector in result.economy.sectors] == values
         outcomes["applied"] += 1
+    assert min(outcomes.values()) > N // 20, outcomes
+
+
+def _dusty_valid_account(rng: random.Random):
+    """A random valid account with a category gap of either sign up to float dust.
+
+    A quarter of the draws put stock additions at zero, a quarter at the whole
+    structural input; emissions and waste give up what stock additions gain.
+    """
+    while True:
+        base = random_valid_account(rng)
+        structural = base.structural_input + rng.uniform(-1.0, 1.0) * float_dust(base.total_input)
+        roll = rng.random()
+        stock = 0.0 if roll < 0.25 else structural if roll < 0.5 else base.net_stock_additions
+        loose = base.emissions_output + base.waste_output + base.net_stock_additions - stock
+        waste = loose * base.waste_output / (base.emissions_output + base.waste_output)
+        account = base.replace(
+            structural_input=structural,
+            recycled_input=min(base.recycled_input, structural),
+            net_stock_additions=stock,
+            emissions_output=loose - waste,
+            waste_output=waste,
+        )
+        if validate(account).ok:
+            return account
+
+
+def test_chains_over_dust_level_gaps_give_rates_in_range_or_named_errors():
+    """Chains of the four ops on accounts whose category gap is up to float dust.
+
+    Each gives a result whose four rates lie in [0, 1], or a named error.  A
+    MetricDomainError comes only from the real rate, when the steps left more
+    recycled input than the pool by over float dust (a divert after a recovery
+    shrinks the pool); the plain-dict reference confirms that state.  A chain
+    ending in full recovery reads a raw real rate of exactly 1.
+    """
+    from circuflow import (
+        DivertWasteToStock,
+        MetricDomainError,
+        OverAttributionError,
+        ReplaceEnergeticWithStock,
+        ScaleReverseFlowValue,
+        ScenarioError,
+        UndefinedDenominatorError,
+    )
+    from circuflow.accounts import MASS_FIELDS
+
+    rng = random.Random(119)
+    step_makers = (
+        lambda r: SetRecoveryRate(r.choice((r.random(), 1.0))),
+        lambda r: DivertWasteToStock(r.random()),
+        lambda r: ReplaceEnergeticWithStock(r.random()),
+        lambda r: ScaleReverseFlowValue(r.random() < 0.7),
+    )
+    outcomes = {"result": 0, "full_recovery": 0, "error": 0, "overshoot": 0}
+    for _ in range(N):
+        account = _dusty_valid_account(rng)
+        economy = random_economy(rng)
+        steps = tuple(rng.choice(step_makers)(rng) for _ in range(rng.randint(0, 6)))
+        if rng.random() < 0.5:
+            steps += (SetRecoveryRate(1.0),)
+        try:
+            result = apply_scenario(account, economy, Scenario("dust", steps))
+        except (ScenarioError, UndefinedDenominatorError, OverAttributionError):
+            outcomes["error"] += 1
+            continue
+        except MetricDomainError as exc:
+            _, masses, _ = reference_steps(
+                {name: getattr(account, name) for name in MASS_FIELDS},
+                [sector.value for sector in economy.sectors],
+                [sector.category for sector in economy.sectors],
+                [_written(step) for step in steps],
+            )
+            pool = masses["total_input"] - masses["energetic_input"] - masses["net_stock_additions"]
+            assert str(exc).startswith("real_rate = "), str(exc)
+            assert masses["recycled_input"] - pool > 0.99 * float_dust(account.total_input)
+            outcomes["overshoot"] += 1
+            continue
+        rates = result.report.rates()
+        assert all(0.0 <= rate <= 1.0 for rate in rates.values()), rates
+        outcomes["result"] += 1
+        if steps and steps[-1] == SetRecoveryRate(1.0):
+            assert real_circularity(result.account) == 1.0
+            outcomes["full_recovery"] += 1
     assert min(outcomes.values()) > N // 20, outcomes
 
 
