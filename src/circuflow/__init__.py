@@ -22,7 +22,6 @@ _EXPORTS = {
     "ValidationStatus": "accounts",
     "validate": "accounts",
     "waste_share": "accounts",
-    "AccountInvariantError": "errors",
     "CircuflowError": "errors",
     "DocumentError": "errors",
     "MetricDomainError": "errors",

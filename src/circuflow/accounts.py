@@ -16,11 +16,11 @@ converts tagged tonne/kilotonne/megatonne values once, on load, so no
 downstream formula ever sees a mixed unit.
 
 Accounts are immutable values.  ``_judge`` states each cross-field rule once;
-``validate``, a pure function, reports its verdicts with their messages.
-Construction only rejects field-level nonsense (negative or non-finite
-masses, and masses whose sums overflow to infinity).  ``DENOMINATORS`` states
-each mass a rate divides by once: ``metrics`` re-exports it, and the scenario
-steps read the annually recoverable pool from it.
+``validate``, a pure function, reports its verdicts with their messages, and
+``render_validation`` lays the report out.  Construction only rejects
+field-level nonsense (negative or non-finite masses, and masses whose sums
+overflow to infinity).  The half-away rounding and the percent and mass
+formatters live here too, and ``render`` imports them for the other reports.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ CATEGORY_SUM = "category_sum"
 RECYCLED_WITHIN_STRUCTURAL = "recycled_within_structural"
 STOCK_ADDITIONS_WITHIN_STRUCTURAL = "stock_additions_within_structural"
 MASS_BALANCE = "mass_balance"
-
-#: (report field, label, account fields: the first minus the rest), in report order.
-DENOMINATORS = (
-    ("denominator_total", "total input", ("total_input",)),
-    ("denominator_recoverable", "non-dissipative", ("total_input", "energetic_input")),
-    (
-        "denominator_annually_recoverable",
-        "annually recoverable",
-        ("total_input", "energetic_input", "net_stock_additions"),
-    ),
-)
 
 
 def _check_mass_sums(masses: MaterialFlowAccount) -> None:
@@ -267,6 +256,10 @@ def format_percent(fraction: float, places: int) -> str:
     return f"{_fixed(fraction * 100.0, places)}%"
 
 
+def format_mass(gigatonnes: float, places: int) -> str:
+    return f"{_fixed(gigatonnes, places)} Gt"
+
+
 def _percent(fraction: float) -> str:
     """``fraction`` as a percentage with exactly its own digits: 0.015 -> "1.5%", -0.0 -> "0%"."""
     whole, digits = _repr_decimal(abs(fraction))
@@ -351,17 +344,32 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     )
 
 
-def _mass(account: MaterialFlowAccount, fields: tuple[str, ...]) -> float:
-    """One ``DENOMINATORS`` row's mass of ``account``: its first field minus the rest."""
-    mass = getattr(account, fields[0])
-    for name in fields[1:]:
-        mass -= getattr(account, name)
-    return mass
+def render_validation(outcome: ValidationOutcome) -> str:
+    """Human-readable validation report: status, residual, every check.
 
-
-def _masses(account: MaterialFlowAccount) -> dict[str, float]:
-    """Every ``DENOMINATORS`` mass of ``account``, by report field."""
-    return {key: _mass(account, fields) for key, _, fields in DENOMINATORS}
+    The residual prints at one decimal place.  A passing mass-balance check
+    is marked ``[warn]`` when the outcome is PASS_WITH_WARNING.
+    """
+    share = (
+        format_percent(outcome.residual_share, 1)
+        if math.isfinite(outcome.residual_share)
+        else "undefined share"
+    )
+    lines = [
+        f"validation: {outcome.status.value}",
+        f"residual: {format_mass(outcome.residual, 1)} ({share} of total input)",
+        "checks:",
+    ]
+    warned = outcome.status is ValidationStatus.PASS_WITH_WARNING
+    for check in outcome.checks:
+        if not check.passed:
+            marker = "FAIL"
+        elif warned and check.invariant == MASS_BALANCE:
+            marker = "warn"
+        else:
+            marker = "pass"
+        lines.append(f"  [{marker}] {check.message}")
+    return "\n".join(lines) + "\n"
 
 
 def waste_share(account: MaterialFlowAccount) -> float:

@@ -17,7 +17,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from . import documents
-from .accounts import MaterialFlowAccount, validate, waste_share
+from .accounts import MaterialFlowAccount, render_validation, validate, waste_share
 from .errors import CircuflowError, DocumentError
 from .render import (
     FORMAT_PLAIN,
@@ -25,7 +25,6 @@ from .render import (
     RenderSpec,
     render_metrics,
     render_scenario_comparison,
-    render_validation,
     render_valuemap,
     svg_metrics,
     svg_valuemap,

@@ -23,10 +23,6 @@ class UndefinedDenominatorError(CircuflowError):
         )
 
 
-class AccountInvariantError(CircuflowError):
-    """An account-level consistency rule is broken (e.g. stock additions exceed structural input)."""
-
-
 class MetricDomainError(CircuflowError):
     """A computed metric left its admissible range (a rate outside [0, 1])."""
 

@@ -8,8 +8,9 @@ input is admitted to the denominator:
     real                  recycled / (total - energetic - net stock additions)
     potential ceiling     (total - energetic) / total
 
-``DENOMINATORS`` (in ``accounts``) and ``RATES`` state each formula, label and
-error context once; the functions here and the renderers read them.
+``DENOMINATORS`` and ``RATES`` state each formula, label and error context
+once; the functions here, the renderers and the scenario recovery step read
+them.
 Metrics return exact quotients; rounding to presentation percentages is
 the rendering layer's job.  Zero denominators raise named errors instead
 of collapsing to 0 or 1: a fully dissipative economy has no defined
@@ -18,9 +19,20 @@ circularity, which is worth saying out loud.
 
 from __future__ import annotations
 
-from .accounts import DENOMINATORS, MaterialFlowAccount, _masses
+from .accounts import MaterialFlowAccount
 from .errors import MetricDomainError, UndefinedDenominatorError
 from .record import Record, float_dust, set_field
+
+#: (report field, label, account fields: the first minus the rest), in report order.
+DENOMINATORS = (
+    ("denominator_total", "total input", ("total_input",)),
+    ("denominator_recoverable", "non-dissipative", ("total_input", "energetic_input")),
+    (
+        "denominator_annually_recoverable",
+        "annually recoverable",
+        ("total_input", "energetic_input", "net_stock_additions"),
+    ),
+)
 
 #: (rate key, label, error context, numerator field, denominator field), in report order.
 RATES = (
@@ -42,7 +54,21 @@ RATES = (
     ),
 )
 _RATE_ROWS = {row[0]: row for row in RATES}
-_DENOMINATOR_TEXT = {key: " - ".join(fields) for key, _, fields in DENOMINATORS}
+_DENOMINATOR_FIELDS = {key: fields for key, _, fields in DENOMINATORS}
+_DENOMINATOR_TEXT = {key: " - ".join(fields) for key, fields in _DENOMINATOR_FIELDS.items()}
+
+
+def _mass(account: MaterialFlowAccount, fields: tuple[str, ...]) -> float:
+    """One ``DENOMINATORS`` row's mass of ``account``: its first field minus the rest."""
+    mass = getattr(account, fields[0])
+    for name in fields[1:]:
+        mass -= getattr(account, name)
+    return mass
+
+
+def _masses(account: MaterialFlowAccount) -> dict[str, float]:
+    """Every ``DENOMINATORS`` mass of ``account``, by report field."""
+    return {key: _mass(account, fields) for key, fields in _DENOMINATOR_FIELDS.items()}
 
 
 class CircularityReport(Record):

@@ -11,8 +11,8 @@ stated once, as a ``check_*`` function here.  Records, the document parsers
 and the CLI all call these, so one rule gives one message wherever a value
 enters.  The numeric checkers take a ``float`` as it is and hand anything
 else to ``check_real``, so a float field costs one call: scenario steps
-call ``check_mass`` and ``check_money`` on every value they change, and
-build each record only once, after the last step.
+call ``check_mass`` (naming the bin) and ``check_money`` on every value they
+change, and build each record only once, after the last step.
 
 The float-dust rule is stated here too.  Identities that hold exactly in
 real arithmetic (energetic + structural = total, the categories summing to
@@ -60,13 +60,13 @@ def check_fraction(value: object, what: str) -> float:
     return fraction
 
 
-def check_mass(value: object) -> float:
+def check_mass(value: object, what: str = "mass") -> float:
     """Return ``value`` as a float mass in Gt/yr, rejecting non-finite or negative values."""
-    mass = value if type(value) is float else check_real(value, "mass")
+    mass = value if type(value) is float else check_real(value, what)
     if not math.isfinite(mass):
-        raise ValueError(f"mass must be finite, got {value!r}")
+        raise ValueError(f"{what} must be finite, got {value!r}")
     if mass < 0:
-        raise ValueError(f"mass must be non-negative, got {value!r}")
+        raise ValueError(f"{what} must be non-negative, got {value!r}")
     return mass
 
 

@@ -1,5 +1,7 @@
 """Report rendering: plain tables, markdown, machine key-value lines, SVG.
 
+The validation report is not here: ``accounts`` lays it out beside ``validate``.
+
 Each report renderer builds its numbers once, as an ordered ``{machine key:
 (kind, value)}`` table.  Machine format prints that table as it stands, one
 ``key = value`` line per entry in insertion order, with shortest-round-trip
@@ -9,7 +11,8 @@ and format them through one ``kind -> formatter`` table, so a human format
 cannot show a number the machine format lacks.  The only human cells that
 are not keys are the scenario delta column and the valuemap mass column.
 Labels, rate denominators and GDP categories come from ``metrics.RATES``,
-``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``, imported where used.
+``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``, imported where used so
+that ``validate``, which loads this module through ``cli``, loads neither.
 
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
@@ -21,19 +24,10 @@ dependency-free.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .accounts import (
-    MASS_BALANCE,
-    MAX_PLACES,
-    ValidationOutcome,
-    ValidationStatus,
-    _fixed,
-    format_percent,
-    round_half_away,
-)
+from .accounts import MAX_PLACES, _fixed, format_mass, format_percent
 from .record import Record, check_bool, check_choice, set_field
 
 if TYPE_CHECKING:
@@ -87,10 +81,6 @@ class RenderSpec(Record):
 def format_percent_delta(delta_fraction: float, places: int) -> str:
     text = _fixed(delta_fraction * 100.0, places)
     return f"{text} pp" if text.startswith("-") else f"+{text} pp"
-
-
-def format_mass(gigatonnes: float, places: int) -> str:
-    return f"{_fixed(gigatonnes, places)} Gt"
 
 
 def format_money(trillions: float, places: int) -> str:
@@ -160,33 +150,6 @@ def _project(spec: RenderSpec, numbers: Numbers, layout: Layout) -> str:
     if spec.include_provenance_footnotes and footnote:
         blocks.append(footnote)
     return "\n\n".join(blocks) + "\n"
-
-
-def render_validation(outcome: ValidationOutcome, spec: RenderSpec | None = None) -> str:
-    """Human-readable validation report: status, residual, every check."""
-    spec = spec or RenderSpec()
-    lines = [f"validation: {outcome.status.value}"]
-    share = (
-        format_percent(outcome.residual_share, spec.rounding)
-        if math.isfinite(outcome.residual_share)
-        else "undefined share"
-    )
-    lines.append(
-        f"residual: {format_mass(outcome.residual, spec.rounding)} ({share} of total input)"
-    )
-    lines.append("checks:")
-    for check in outcome.checks:
-        if not check.passed:
-            marker = "FAIL"
-        elif (
-            check.invariant == MASS_BALANCE
-            and outcome.status is ValidationStatus.PASS_WITH_WARNING
-        ):
-            marker = "warn"
-        else:
-            marker = "pass"
-        lines.append(f"  [{marker}] {check.message}")
-    return "\n".join(lines) + "\n"
 
 
 def _metric_numbers(report: CircularityReport) -> Numbers:

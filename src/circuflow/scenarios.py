@@ -16,17 +16,9 @@ built once, after the last step.
 
 from __future__ import annotations
 
-from .accounts import (
-    DENOMINATORS,
-    MASS_FIELDS,
-    MaterialFlowAccount,
-    _check_mass_sums,
-    _judge,
-    _mass,
-    validate,
-)
+from .accounts import MASS_FIELDS, MaterialFlowAccount, _check_mass_sums, _judge, validate
 from .errors import ScenarioError
-from .metrics import CircularityReport, metric_suite
+from .metrics import _DENOMINATOR_FIELDS, _RATE_ROWS, CircularityReport, _mass, metric_suite
 from .record import (
     Record,
     check_bool,
@@ -153,7 +145,7 @@ class _Bins:
     def update(self, values: dict[str, float]) -> None:
         """Store a move's new values, checked as ``MaterialFlowAccount`` checks its masses."""
         for name, value in values.items():
-            setattr(self, name, check_mass(value))
+            setattr(self, name, check_mass(value, name))
         _check_mass_sums(self)
 
 
@@ -162,9 +154,12 @@ _Move = tuple[float, str, str, dict[str, float]]
 
 _OUTPUT_BINS = frozenset(("emissions_output", "waste_output", "net_stock_additions"))
 
+#: The annually recoverable pool: the fields of the real rate's denominator.
+_POOL = _DENOMINATOR_FIELDS[_RATE_ROWS["real_rate"][4]]
+
 
 def _recover(account: _Bins, fraction: float) -> _Move:
-    new_recycled = fraction * _mass(account, DENOMINATORS[2][2])  # the real rate's pool
+    new_recycled = fraction * _mass(account, _POOL)
     increase = new_recycled - account.recycled_input
     new_waste = account.waste_output - increase
     if new_waste < 0:

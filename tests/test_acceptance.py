@@ -28,9 +28,10 @@ from circuflow import (
     validate,
     waste_share,
 )
+from circuflow.accounts import round_half_away
 from circuflow.cli import main as cli_main
 from circuflow.documents import parse_account, parse_economy, parse_scenario
-from circuflow.render import format_money, round_half_away
+from circuflow.render import format_money
 from support import (
     ACCOUNT_PATH,
     ECONOMY_PATH,

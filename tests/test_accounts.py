@@ -13,7 +13,7 @@ from circuflow import (
     validate,
     waste_share,
 )
-from circuflow import accounts
+from circuflow import metrics
 from circuflow.accounts import _EXACT_BALANCE_REL, MASS_FIELDS, _judge
 from circuflow.record import float_dust
 from support import random_valid_account, reference_account
@@ -258,7 +258,7 @@ class TestJudgeAgreesWithValidate:
 
 def annually_recoverable_input(account):
     """The ``DENOMINATORS`` row that the real rate and ``set_recovery_rate`` both read."""
-    return accounts._masses(account)["denominator_annually_recoverable"]
+    return metrics._masses(account)["denominator_annually_recoverable"]
 
 
 class TestAnnuallyRecoverableInput:

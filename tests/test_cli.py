@@ -1,5 +1,8 @@
 """End-to-end CLI tests: exit codes, output, env overrides."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,6 +12,7 @@ from support import (
     ACCOUNT_PATH,
     ECONOMY_PATH,
     FULL_RECOVERY_PATH,
+    REPO_ROOT,
     WASTE_DIVERSION_PATH,
 )
 
@@ -388,3 +392,36 @@ def test_machine_keys_are_unique(argv, capsys):
     assert main(argv + ["--format", "machine"]) == 0
     keys = [line.split(" = ", 1)[0] for line in capsys.readouterr().out.splitlines()]
     assert len(keys) == len(set(keys))
+
+
+def _console_script_target() -> tuple[str, str]:
+    """The ``(module, function)`` that ``[project.scripts]`` installs as ``circuflow``.
+
+    Read line by line: ``tomllib`` is not in Python 3.10.
+    """
+    section = None
+    for line in (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            key, target = (part.strip() for part in line.split("=", 1))
+            if key == "circuflow":
+                module, function = target.strip("\"'").split(":")
+                return module, function
+    raise AssertionError("pyproject.toml installs no circuflow script")
+
+
+def test_the_console_script_target_runs_validate():
+    # what the installed ``circuflow`` script runs, in a fresh interpreter
+    module, function = _console_script_target()
+    code = f"import sys; sys.argv[0] = 'circuflow'; from {module} import {function}; {function}()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "validate", ACCOUNT],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "validation: pass-with-warning"

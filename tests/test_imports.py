@@ -68,6 +68,23 @@ def test_validate_loads_no_metric_valuemap_or_scenario_code():
     assert not loaded & {"circuflow.metrics", "circuflow.scenarios", "circuflow.valuemap"}
 
 
+def test_the_validation_report_loads_no_render_metric_valuemap_or_scenario_code():
+    loaded = _loaded_after(
+        "from circuflow.accounts import render_validation, validate\n"
+        "from circuflow.documents import parse_account\n"
+        f"with open({str(ACCOUNT_PATH)!r}, encoding='utf-8') as handle:\n"
+        "    account = parse_account(handle.read())\n"
+        "assert render_validation(validate(account)).startswith('validation: ')"
+    )
+    assert "circuflow.accounts" in loaded
+    assert not loaded & {
+        "circuflow.render",
+        "circuflow.metrics",
+        "circuflow.scenarios",
+        "circuflow.valuemap",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

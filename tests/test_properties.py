@@ -27,7 +27,7 @@ from circuflow import (
     validate,
     waste_share,
 )
-from circuflow.accounts import _masses
+from circuflow.metrics import _masses
 from circuflow.record import float_dust
 from support import random_economy, random_valid_account, reference_steps, scale_account
 
@@ -512,7 +512,7 @@ def test_chains_over_dust_level_gaps_give_rates_in_range_or_named_errors():
 def test_round_half_away_matches_exact_oracle_across_magnitudes():
     from fractions import Fraction
 
-    from circuflow.render import round_half_away
+    from circuflow.accounts import round_half_away
 
     def oracle(value, places):
         # exact rational arithmetic on the printed (repr) value, ties away from zero
@@ -625,14 +625,14 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
     """
     from fractions import Fraction
 
-    from circuflow.accounts import _fixed, _fixed_digits
-    from circuflow.render import (
+    from circuflow.accounts import (
+        _fixed,
+        _fixed_digits,
         format_mass,
-        format_money,
         format_percent,
-        format_percent_delta,
         round_half_away,
     )
+    from circuflow.render import format_money, format_percent_delta
 
     def oracle(value, places):
         # exact rational arithmetic on the repr, ties away from zero, sign of zero kept

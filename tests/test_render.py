@@ -7,15 +7,12 @@ from decimal import ROUND_HALF_UP, Decimal
 import pytest
 
 from circuflow import attribute_value, metric_suite, validate
-from circuflow.accounts import MAX_PLACES
+from circuflow.accounts import MAX_PLACES, format_percent, render_validation, round_half_away
 from circuflow.render import (
     RenderSpec,
     format_money,
-    format_percent,
     render_metrics,
-    render_validation,
     render_valuemap,
-    round_half_away,
     svg_metrics,
     svg_valuemap,
 )

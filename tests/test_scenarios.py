@@ -294,9 +294,19 @@ class TestStepErrors:
         # stock additions fill structural input, which sits 5e-8 above total - energetic
         account = MaterialFlowAccount(2020, 104, 40, 64 + 5e-8, 0, 40, 0, 64 + 5e-8)
         assert validate(account).ok
-        with pytest.raises(ScenarioError, match="mass must be non-negative") as info:
+        with pytest.raises(ScenarioError, match="recycled_input must be non-negative") as info:
             apply_scenario(account, economy, Scenario("x", (SetRecoveryRate(1.0),)))
         assert info.value.step_index == 0
+
+    def test_a_step_error_names_the_bin_where_a_record_says_mass(self, economy):
+        account = MaterialFlowAccount(2020, 104, 40, 64 + 5e-8, 0, 40, 0, 64 + 5e-8)
+        with pytest.raises(ScenarioError) as info:
+            apply_scenario(account, economy, Scenario("x", (SetRecoveryRate(1.0),)))
+        assert str(info.value) == (
+            "scenario 'x', step 0: recycled_input must be non-negative, got -4.999999703159119e-08"
+        )
+        with pytest.raises(ValueError, match=r"^mass must be non-negative, got -4\.99"):
+            account.replace(recycled_input=-4.999999703159119e-08)
 
     @pytest.mark.parametrize(
         "skew, declared, account, step, message",
