@@ -20,7 +20,8 @@ Accounts are immutable values.  ``_judge`` states each cross-field rule once;
 ``render_validation`` lays the report out.  Construction only rejects
 field-level nonsense (negative or non-finite masses, and masses whose sums
 overflow to infinity).  The half-away rounding and the percent and mass
-formatters live here too, and ``render`` imports them for the other reports.
+formatters live here too, and ``render`` imports them for the other reports;
+so does ``_significant``, which every number in a message goes through.
 """
 
 from __future__ import annotations
@@ -226,6 +227,25 @@ def _fixed(value: float, places: int) -> str:
     return _fixed_digits(value, places)
 
 
+def _significant(value: float) -> str:
+    """``value``'s ``repr`` rounded half away from zero to six significant digits, as ``%g``.
+
+    The repr is on a tie when it has exactly seven significant digits ending
+    in 5 (1234565000.0 is one): ``%g`` rounds the binary value, which may lie
+    below the tie, so the value first moves one step away from zero.  Off a
+    tie ``%g`` rounds the right way, by the argument given in ``_fixed``.
+    """
+    digits = repr(value).partition("e")[0].strip("-0.").replace(".", "")
+    if len(digits) == 7 and digits[-1] == "5":
+        value = math.nextafter(value, math.copysign(math.inf, value))
+    return "%.6g" % value
+
+
+def _signed(text: str) -> str:
+    """A formatted number with its sign always shown: "+0", "-0" and "+nan" included."""
+    return text if text.startswith("-") else "+" + text
+
+
 def _fixed_digits(value: float, places: int) -> str:
     """``_fixed`` worked out on the repr's digits: the rule, and its fast path's reference."""
     if not math.isfinite(value):
@@ -292,6 +312,32 @@ def _judge(account: MaterialFlowAccount) -> tuple[float, float, bool, dict[str, 
     return category_gap, residual, exactly_balanced, verdicts
 
 
+#: The record of each check that passes with a fixed message, built once: records are values.
+_PASSED = {
+    code: CheckResult(code, True, message)
+    for code, message in (
+        (POSITIVE_TOTAL_INPUT, "total_input is positive"),
+        (CATEGORY_SUM, "energetic_input + structural_input equals total_input"),
+        (RECYCLED_WITHIN_STRUCTURAL, "recycled_input fits within structural_input"),
+        (STOCK_ADDITIONS_WITHIN_STRUCTURAL, "net_stock_additions fit within structural_input"),
+        (MASS_BALANCE, "outputs sum exactly to total_input"),
+    )
+}
+
+
+def _failure(code: str, account: MaterialFlowAccount, category_gap: float) -> str:
+    """The message of a failed check other than the mass balance."""
+    if code == POSITIVE_TOTAL_INPUT:
+        return "total_input must be positive; every rate downstream divides by it"
+    if code == CATEGORY_SUM:
+        gap = _signed(_significant(category_gap))
+        return f"energetic_input + structural_input differs from total_input by {gap} Gt"
+    structural = f"structural_input ({_significant(account.structural_input)} Gt)"
+    if code == RECYCLED_WITHIN_STRUCTURAL:
+        return f"recycled_input ({_significant(account.recycled_input)} Gt) exceeds {structural}"
+    return f"net_stock_additions ({_significant(account.net_stock_additions)} Gt) exceed {structural}"
+
+
 def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     """Report every cross-field invariant of an account, as ``_judge`` judges it.
 
@@ -301,34 +347,24 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
     Pure and idempotent: the same account always yields the same outcome.
     """
     category_gap, residual, exactly_balanced, verdicts = _judge(account)
-    positive, category_ok, recycled_ok, stock_ok, balanced = verdicts.values()
+    positive = verdicts[POSITIVE_TOTAL_INPUT]
     residual_share = residual / account.total_input if positive else math.nan
+    checks = [
+        _PASSED[code] if passed else CheckResult(code, False, _failure(code, account, category_gap))
+        for code, passed in verdicts.items()
+        if code != MASS_BALANCE
+    ]
     if exactly_balanced:
-        balance_message = "outputs sum exactly to total_input"
+        checks.append(_PASSED[MASS_BALANCE])
     else:
-        balance_message = (
-            f"unexplained residual {residual:.6g} Gt "
+        balanced = verdicts[MASS_BALANCE]
+        message = (
+            f"unexplained residual {_significant(residual)} Gt "
             f"({format_percent(residual_share, 2)} of total input) "
             f"{'within' if balanced else 'exceeds'} the "
             f"{_percent(account.balance_tolerance)} tolerance"
         )
-    messages = (
-        "total_input is positive"
-        if positive
-        else "total_input must be positive; every rate downstream divides by it",
-        "energetic_input + structural_input equals total_input"
-        if category_ok
-        else f"energetic_input + structural_input differs from total_input by {category_gap:+.6g} Gt",
-        "recycled_input fits within structural_input"
-        if recycled_ok
-        else f"recycled_input ({account.recycled_input:.6g} Gt) exceeds "
-        f"structural_input ({account.structural_input:.6g} Gt)",
-        "net_stock_additions fit within structural_input"
-        if stock_ok
-        else f"net_stock_additions ({account.net_stock_additions:.6g} Gt) exceed "
-        f"structural_input ({account.structural_input:.6g} Gt)",
-        balance_message,
-    )
+        checks.append(CheckResult(MASS_BALANCE, balanced, message))
 
     if not all(verdicts.values()):
         status = ValidationStatus.FAIL
@@ -340,7 +376,7 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
         status=status,
         residual=residual,
         residual_share=residual_share,
-        checks=tuple(map(CheckResult, verdicts, verdicts.values(), messages)),
+        checks=tuple(checks),
     )
 
 

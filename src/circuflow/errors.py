@@ -31,9 +31,11 @@ class OverAttributionError(CircuflowError):
     """Non-residual value categories exceed GDP, leaving no residual to attribute."""
 
     def __init__(self, excess: float) -> None:
+        from .accounts import _significant  # accounts imports this module
+
         self.excess = excess
         super().__init__(
-            f"attributed values exceed GDP by {excess:.6g} trillion; "
+            f"attributed values exceed GDP by {_significant(excess)} trillion; "
             "no legacy-stock residual exists"
         )
 

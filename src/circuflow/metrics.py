@@ -19,7 +19,7 @@ circularity, which is worth saying out loud.
 
 from __future__ import annotations
 
-from .accounts import MaterialFlowAccount
+from .accounts import MaterialFlowAccount, _significant
 from .errors import MetricDomainError, UndefinedDenominatorError
 from .record import Record, float_dust, set_field
 
@@ -152,10 +152,10 @@ def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
             detail = ""
             if key == "real_rate" and rate > 1.0:
                 detail = (
-                    f": recycled_input ({account.recycled_input:.6g} Gt) exceeds the "
-                    f"annually recoverable pool ({masses[denominator]:.6g} Gt)"
+                    f": recycled_input ({_significant(account.recycled_input)} Gt) exceeds "
+                    f"the annually recoverable pool ({_significant(masses[denominator])} Gt)"
                 )
-            raise MetricDomainError(f"{key} = {rate:.6g} is outside [0, 1]{detail}")
+            raise MetricDomainError(f"{key} = {_significant(rate)} is outside [0, 1]{detail}")
         snapped.append(rate)
     report = CircularityReport(*snapped, *masses.values())
     # Same numerator over shrinking positive denominators: the chain is arithmetic.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .accounts import MAX_PLACES, _fixed, format_mass, format_percent
+from .accounts import MAX_PLACES, _fixed, _signed, format_mass, format_percent
 from .record import Record, check_bool, check_choice, set_field
 
 if TYPE_CHECKING:
@@ -79,8 +79,7 @@ class RenderSpec(Record):
 
 
 def format_percent_delta(delta_fraction: float, places: int) -> str:
-    text = _fixed(delta_fraction * 100.0, places)
-    return f"{text} pp" if text.startswith("-") else f"+{text} pp"
+    return f"{_signed(_fixed(delta_fraction * 100.0, places))} pp"
 
 
 def format_money(trillions: float, places: int) -> str:
@@ -90,8 +89,7 @@ def format_money(trillions: float, places: int) -> str:
 
 
 def _format_money_delta(trillions: float, places: int) -> str:
-    text = format_money(trillions, places)
-    return text if text.startswith("-") else "+" + text
+    return _signed(format_money(trillions, places))
 
 
 #: How each kind of number prints in a human format.

@@ -16,7 +16,15 @@ built once, after the last step.
 
 from __future__ import annotations
 
-from .accounts import MASS_FIELDS, MaterialFlowAccount, _check_mass_sums, _judge, validate
+from .accounts import (
+    MASS_FIELDS,
+    MaterialFlowAccount,
+    _check_mass_sums,
+    _judge,
+    _significant,
+    _signed,
+    validate,
+)
 from .errors import ScenarioError
 from .metrics import _DENOMINATOR_FIELDS, _RATE_ROWS, CircularityReport, _mass, metric_suite
 from .record import (
@@ -164,8 +172,8 @@ def _recover(account: _Bins, fraction: float) -> _Move:
     new_waste = account.waste_output - increase
     if new_waste < 0:
         raise ValueError(
-            f"recovery increase {increase:.6g} Gt exceeds the waste bin "
-            f"({account.waste_output:.6g} Gt)"
+            f"recovery increase {_significant(increase)} Gt exceeds the waste bin "
+            f"({_significant(account.waste_output)} Gt)"
         )
     values = {"recycled_input": new_recycled, "waste_output": new_waste}
     return increase, "waste_output", "recycled_input", values
@@ -176,8 +184,9 @@ def _divert(account: _Bins, fraction: float) -> _Move:
     new_stock = account.net_stock_additions + moved
     if new_stock > account.structural_input:
         raise ValueError(
-            f"diverting {moved:.6g} Gt would push net_stock_additions to {new_stock:.6g} Gt, "
-            f"beyond structural_input ({account.structural_input:.6g} Gt)"
+            f"diverting {_significant(moved)} Gt would push net_stock_additions to "
+            f"{_significant(new_stock)} Gt, beyond structural_input "
+            f"({_significant(account.structural_input)} Gt)"
         )
     values = {"waste_output": account.waste_output - moved, "net_stock_additions": new_stock}
     return moved, "waste_output", "net_stock_additions", values
@@ -243,7 +252,7 @@ def apply_scenario(
                 expected_residual += amount * ((source in _OUTPUT_BINS) - (sink in _OUTPUT_BINS))
                 if type(step) is ReplaceEnergeticWithStock and amount > 0:
                     notes.append(
-                        f"{amount:.6g} Gt of energetic input rebooked as stock-building "
+                        f"{_significant(amount)} Gt of energetic input rebooked as stock-building "
                         "structural input; emissions_output left unchanged (emission "
                         "modeling out of scope)"
                     )
@@ -263,7 +272,7 @@ def apply_scenario(
                     for sector in economy.sectors
                 )
                 notes.append(
-                    f"reverse-flow sector values scaled x{factor:.6g}, assuming value "
+                    f"reverse-flow sector values scaled x{_significant(factor)}, assuming value "
                     "moves proportionally with the reverse flow (explicit assumption)"
                 )
         except ValueError as exc:
@@ -274,8 +283,8 @@ def apply_scenario(
             raise ScenarioError(
                 scenario.name,
                 index,
-                f"mass not conserved: residual {residual:.6g} Gt, expected "
-                f"{expected_residual:.6g} Gt from the documented moves",
+                f"mass not conserved: residual {_significant(residual)} Gt, expected "
+                f"{_significant(expected_residual)} Gt from the documented moves",
             )
 
     current = MaterialFlowAccount(
@@ -287,9 +296,10 @@ def apply_scenario(
     excess = bins.recycled_input - bins.structural_input + baseline_gap
     reasons = []
     if abs(drift) > slack:
-        reasons.append(f"energetic_input + structural_input moved {drift:+.6g} Gt off total_input")
+        drift_text = _signed(_significant(drift))
+        reasons.append(f"energetic_input + structural_input moved {drift_text} Gt off total_input")
     if excess > slack:
-        reasons.append(f"recycled_input exceeds structural_input by {excess:.6g} Gt")
+        reasons.append(f"recycled_input exceeds structural_input by {_significant(excess)} Gt")
     if reasons:
         reason = "transformed account is inconsistent: " + "; ".join(reasons)
         raise ScenarioError(scenario.name, None, reason)
@@ -297,9 +307,9 @@ def apply_scenario(
     rebooked = expected_residual - baseline_residual
     if abs(rebooked) > slack:
         notes.append(
-            f"scenario rebooked {rebooked:+.6g} Gt across the input/output boundary; "
-            f"balance judged net of that move (underlying residual "
-            f"{baseline_residual:.6g} Gt, within tolerance)"
+            f"scenario rebooked {_signed(_significant(rebooked))} Gt across the input/output "
+            "boundary; balance judged net of that move (underlying residual "
+            f"{_significant(baseline_residual)} Gt, within tolerance)"
         )
 
     if factor is None:

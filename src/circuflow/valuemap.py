@@ -16,6 +16,7 @@ import math
 import warnings
 from typing import TYPE_CHECKING
 
+from .accounts import _fixed, _significant
 from .errors import (
     CircuflowError,
     OverAttributionError,
@@ -182,7 +183,7 @@ def nfcf_rate(economy: EconomicAccount) -> float:
     rate = economy.gfcf_rate - economy.cfc_rate
     if rate < 0:
         warnings.warn(
-            f"net fixed capital formation is negative ({rate:+.4f} of GDP): "
+            f"net fixed capital formation is negative ({_fixed(rate, 4)} of GDP): "
             "fixed stocks are being depleted",
             StockDepletionWarning,
             stacklevel=2,
@@ -213,8 +214,9 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     attributed = reverse + dissipative + stock
     if not math.isfinite(attributed):
         raise CircuflowError(
-            f"attributed value sum overflows to infinity (reverse flow {reverse:.6g} + "
-            f"dissipative flow {dissipative:.6g} + stock additions {stock:.6g} trillion)"
+            "attributed value sum overflows to infinity (reverse flow "
+            f"{_significant(reverse)} + dissipative flow {_significant(dissipative)} + "
+            f"stock additions {_significant(stock)} trillion)"
         )
     excess = attributed - gdp
     if excess > float_dust(gdp):

@@ -155,6 +155,21 @@ class TestValidate:
         message = validate(account).checks[-1].message
         assert "0.125 Gt (0.13% of total input)" in message
 
+    def test_numbers_in_messages_round_half_away_at_six_digits(self):
+        # 1234565 is a tie at the seventh digit; %g on the binary value gave 1.23456e+06
+        outcome = validate(reference_account(recycled_input=1234565.0))
+        assert [v.message for v in outcome.violations] == [
+            "recycled_input (1.23457e+06 Gt) exceeds structural_input (64 Gt)"
+        ]
+
+    def test_passing_checks_are_shared_records(self, account):
+        first, second = validate(account).checks, validate(reference_account(year=2021)).checks
+        assert all(a is b for a, b in zip(first[:4], second[:4]))
+        assert first[4] == second[4] and first[4] is not second[4]  # an inexact balance
+        exact = validate(reference_account(emissions_output=48.0)).checks[4]
+        assert exact is validate(reference_account(emissions_output=48.0)).checks[4]
+        assert exact.message == "outputs sum exactly to total_input"
+
     def test_idempotent_and_pure(self, account):
         first = validate(account)
         second = validate(account)

@@ -314,6 +314,20 @@ class TestScenarioCommand:
         out = capsys.readouterr().out
         assert "waste_diversion" in out
 
+    def test_a_note_on_a_seventh_digit_tie_rounds_half_away(self, tmp_path, capsys):
+        account = tmp_path / "tie.account"
+        account.write_text(
+            "year = 2020\ntotal_input = 1234629\nenergetic_input = 1234565\n"
+            "structural_input = 64\nrecycled_input = 9\nemissions_output = 1234570\n"
+            "waste_output = 25\nnet_stock_additions = 31\n"
+        )
+        scenario = tmp_path / "tie.scenario"
+        scenario.write_text("name = tie\nstep = replace_energetic_with_stock, 1.0\n")
+        assert main(["scenario", str(account), ECONOMY, str(scenario)]) == 0
+        out = capsys.readouterr().out
+        assert "  - 1.23457e+06 Gt of energetic input rebooked" in out
+        assert "scenario rebooked -1.23457e+06 Gt across" in out
+
     def test_empty_scenario_has_zero_deltas(self, tmp_path, capsys):
         empty = tmp_path / "empty.scenario"
         empty.write_text("name = empty\n")

@@ -472,6 +472,16 @@ class TestNotes:
             "net of that move (underlying residual 3 Gt, within tolerance)",
         )
 
+    def test_a_seventh_digit_tie_rounds_half_away_from_zero(self, economy):
+        # 1234565 Gt rebooked: %g on the binary value gave "1.23456e+06"
+        account = reference_account(
+            total_input=1234629.0, energetic_input=1234565.0, emissions_output=1234570.0
+        )
+        scenario = Scenario("tie", (ReplaceEnergeticWithStock(1.0),))
+        notes = apply_scenario(account, economy, scenario).notes
+        assert notes[0].startswith("1.23457e+06 Gt of energetic input rebooked")
+        assert notes[1].startswith("scenario rebooked -1.23457e+06 Gt across")
+
 
 class TestConservationPerStep:
     def test_a_leaking_move_is_named_by_its_step(self, account, economy, monkeypatch):

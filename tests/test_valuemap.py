@@ -96,6 +96,12 @@ class TestNfcfRate:
             rate = nfcf_rate(economy)
         assert rate == pytest.approx(-0.03, abs=1e-12)
 
+    def test_the_depletion_warning_rounds_half_away_at_four_places(self):
+        # -0.00015 is a tie at four places; the binary value lies just inside it
+        economy = reference_economy(gfcf_rate=0.0, cfc_rate=0.00015)
+        with pytest.warns(StockDepletionWarning, match=r"negative \(-0\.0002 of GDP\)"):
+            nfcf_rate(economy)
+
 
 class TestStockAdditionValue:
     def test_reference(self, economy):
