@@ -27,6 +27,7 @@ so does ``_significant``, which every number in a message goes through.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .errors import UndefinedDenominatorError
@@ -234,8 +235,19 @@ def _significant(value: float) -> str:
     in 5 (1234565000.0 is one): ``%g`` rounds the binary value, which may lie
     below the tie, so the value first moves one step away from zero.  Off a
     tie ``%g`` rounds the right way, by the argument given in ``_fixed``.
+
+    That argument needs a normal float.  A subnormal value can lie farther
+    from its short repr than half a sixth-digit unit (1e-323 is about
+    9.88131e-324), so its repr's mantissa, a normal float, is rounded
+    instead, and the repr's exponent is kept, one higher if the mantissa
+    rounds up to 10.
     """
-    digits = repr(value).partition("e")[0].strip("-0.").replace(".", "")
+    mantissa, _, exponent = repr(value).partition("e")
+    if 0 < abs(value) < sys.float_info.min:
+        digits = _significant(float(mantissa))
+        carry = digits.lstrip("-") == "10"
+        return f"{digits[:-1] if carry else digits}e{int(exponent) + carry}"
+    digits = mantissa.strip("-0.").replace(".", "")
     if len(digits) == 7 and digits[-1] == "5":
         value = math.nextafter(value, math.copysign(math.inf, value))
     return "%.6g" % value

@@ -6,6 +6,11 @@ Subcommands: validate, metrics, valuemap, scenario.  Exit codes:
 line prints argparse's usage text and ``error:`` line).  The
 CIRCUFLOW_TOLERANCE environment variable overrides the default balance
 tolerance for account files that do not set one themselves.
+
+metrics, valuemap and scenario share one parser table, ``_REPORTS``, and one
+set-up, ``_prepare``.  Their faults show in this order: documents in argument
+order (4), the account's validation (2), render options (4), then the
+baseline and each scenario step (3).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from . import documents
-from .accounts import MaterialFlowAccount, render_validation, validate, waste_share
+from .accounts import render_validation, validate, waste_share
 from .errors import CircuflowError, DocumentError
 from .render import (
     FORMAT_PLAIN,
@@ -32,8 +37,6 @@ from .render import (
 
 if TYPE_CHECKING:
     from collections.abc import Callable
-
-    from .valuemap import EconomicAccount
 
 # metrics, valuemap and scenarios are imported inside the subcommands that
 # use them, so each call loads only the modules its subcommand runs.
@@ -84,27 +87,25 @@ def _load(parse: Callable[..., object], path: str, **options: Callable[[], objec
         raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
 
 
-def _require_valid(path: str, account: MaterialFlowAccount) -> None:
+def _prepare(args: argparse.Namespace) -> tuple:
+    """Load, judge and set up a report subcommand: ``(spec, account, *documents after it)``."""
+    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
+    loaded = {
+        name: _load(getattr(documents, f"parse_{name}"), getattr(args, name))
+        for name in args.read_after
+    }
     outcome = validate(account)
     if not outcome.ok:
-        report = render_validation(outcome)
-        raise _CliFailure(EXIT_VALIDATION, f"{path}: account fails validation\n{report.rstrip()}")
-
-
-def _warn_on_year_mismatch(account: MaterialFlowAccount, economy: EconomicAccount) -> None:
-    if economy.year != account.year:
+        report = render_validation(outcome).rstrip()
+        raise _CliFailure(EXIT_VALIDATION, f"{args.account}: account fails validation\n{report}")
+    economy = loaded.get("economy")
+    if economy is not None and economy.year != account.year:
         warnings.warn(f"account year {account.year} differs from economy year {economy.year}")
-
-
-def _render_spec(args: argparse.Namespace) -> RenderSpec:
     try:
-        return RenderSpec(
-            format=args.format,
-            rounding=args.round,
-            include_provenance_footnotes=not args.no_footnotes,
-        )
+        spec = RenderSpec(args.format, args.round, not args.no_footnotes)
     except ValueError as exc:
         raise _CliFailure(EXIT_IO, str(exc)) from exc
+    return spec, account, *loaded.values()
 
 
 def _write_svg(path: str, content: str) -> None:
@@ -128,9 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import metric_suite
 
-    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
-    _require_valid(args.account, account)
-    spec = _render_spec(args)
+    spec, account = _prepare(args)
     report = metric_suite(account)
     sys.stdout.write(render_metrics(report, spec))
     if args.svg:
@@ -141,16 +140,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_valuemap(args: argparse.Namespace) -> int:
     from .valuemap import attribute_value
 
-    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
-    economy = _load(documents.parse_economy, args.economy)
-    _require_valid(args.account, account)
-    _warn_on_year_mismatch(account, economy)
-    spec = _render_spec(args)
+    spec, account, economy = _prepare(args)
     attribution = attribute_value(economy)
     sys.stdout.write(
-        render_valuemap(
-            attribution, spec, account=account, services_share=economy.services_share
-        )
+        render_valuemap(attribution, spec, account=account, services_share=economy.services_share)
     )
     if args.svg:
         _write_svg(args.svg, svg_valuemap(attribution, spec))
@@ -162,52 +155,27 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from .scenarios import apply_scenario
     from .valuemap import attribute_value
 
-    account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
-    economy = _load(documents.parse_economy, args.economy)
-    scenario = _load(documents.parse_scenario, args.scenario)
-    _require_valid(args.account, account)
-    _warn_on_year_mismatch(account, economy)
-    spec = _render_spec(args)
-    baseline_report = metric_suite(account)
-    baseline_attribution = attribute_value(economy)
-    result = apply_scenario(account, economy, scenario)
+    spec, account, economy, scenario = _prepare(args)
+    baseline = metric_suite(account), attribute_value(economy), waste_share(account)
+    result = apply_scenario(account, economy, scenario)  # a baseline error outranks a step's
+    after = result.report, result.attribution, waste_share(result.account)
     sys.stdout.write(
-        render_scenario_comparison(
-            scenario.name,
-            baseline_report,
-            baseline_attribution,
-            waste_share(account),
-            result.report,
-            result.attribution,
-            waste_share(result.account),
-            notes=result.notes,
-            spec=spec,
-        )
+        render_scenario_comparison(scenario.name, *baseline, *after, notes=result.notes, spec=spec)
     )
     return EXIT_OK
 
 
-def _add_render_options(parser: argparse.ArgumentParser, *, svg: bool) -> None:
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=FORMAT_PLAIN,
-        help="output format (default: plain)",
-    )
-    parser.add_argument(
-        "--round",
-        type=int,
-        default=1,
-        metavar="N",
-        help="decimal places for percentages (default: 1)",
-    )
-    parser.add_argument(
-        "--no-footnotes",
-        action="store_true",
-        help="omit provenance footnotes",
-    )
-    if svg:
-        parser.add_argument("--svg", metavar="PATH", help="also write an SVG chart to PATH")
+_REPORTS = (
+    ("metrics", "compute the circularity metric family", (), _cmd_metrics, True),
+    ("valuemap", "attribute GDP across flow categories", ("economy",), _cmd_valuemap, True),
+    (
+        "scenario",
+        "apply a what-if scenario and compare",
+        ("economy", "scenario"),
+        _cmd_scenario,
+        False,
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,23 +192,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("account", help="account file")
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_metrics = sub.add_parser("metrics", help="compute the circularity metric family")
-    p_metrics.add_argument("account", help="account file")
-    _add_render_options(p_metrics, svg=True)
-    p_metrics.set_defaults(func=_cmd_metrics)
-
-    p_valuemap = sub.add_parser("valuemap", help="attribute GDP across flow categories")
-    p_valuemap.add_argument("account", help="account file")
-    p_valuemap.add_argument("economy", help="economy file")
-    _add_render_options(p_valuemap, svg=True)
-    p_valuemap.set_defaults(func=_cmd_valuemap)
-
-    p_scenario = sub.add_parser("scenario", help="apply a what-if scenario and compare")
-    p_scenario.add_argument("account", help="account file")
-    p_scenario.add_argument("economy", help="economy file")
-    p_scenario.add_argument("scenario", help="scenario file")
-    _add_render_options(p_scenario, svg=False)
-    p_scenario.set_defaults(func=_cmd_scenario)
+    for name, help_text, read_after, command, svg in _REPORTS:
+        p = sub.add_parser(name, help=help_text)
+        for document in ("account", *read_after):
+            p.add_argument(document, help=f"{document} file")
+        p.add_argument(
+            "--format", choices=FORMATS, default=FORMAT_PLAIN, help="output format (default: plain)"
+        )
+        p.add_argument(
+            "--round",
+            type=int,
+            default=1,
+            metavar="N",
+            help="decimal places for percentages (default: 1)",
+        )
+        p.add_argument("--no-footnotes", action="store_true", help="omit provenance footnotes")
+        if svg:
+            p.add_argument("--svg", metavar="PATH", help="also write an SVG chart to PATH")
+        p.set_defaults(func=command, read_after=read_after)
 
     return parser
 

@@ -369,6 +369,71 @@ class TestScenarioCommand:
         assert "baseline_waste_gdp_share = 0.0" in out and "after_waste_gdp_share = 0.0" in out
 
 
+class TestFaultOrder:
+    """Which fault a report subcommand names when its inputs hold several."""
+
+    DIVERT_ALL = "name = divert\nstep = divert_waste_to_stock, 1.0\n"
+
+    @staticmethod
+    def _write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def _overrecycled(self, tmp_path, recycled):
+        # the divert step alone fails too: it would push stock additions past structural input
+        return self._write(
+            tmp_path,
+            "overrecycled.account",
+            "year = 2020\ntotal_input = 104\nenergetic_input = 40\nstructural_input = 64\n"
+            f"recycled_input = {recycled}\nemissions_output = 15\nwaste_output = 55\n"
+            "net_stock_additions = 31\n",
+        )
+
+    def _failing_account(self, tmp_path):
+        text = ACCOUNT_PATH.read_text().replace("total_input = 104", "total_input = 100")
+        return self._write(tmp_path, "failing.account", text)
+
+    def test_a_baseline_metric_error_outranks_a_step_error(self, tmp_path, capsys):
+        account = self._overrecycled(tmp_path, 40)
+        scenario = self._write(tmp_path, "divert.scenario", self.DIVERT_ALL)
+        assert main(["scenario", account, ECONOMY, scenario]) == 3
+        assert capsys.readouterr().err == (
+            "error: real_rate = 1.21212 is outside [0, 1]: recycled_input (40 Gt) exceeds "
+            "the annually recoverable pool (33 Gt)\n"
+        )
+
+    def test_a_baseline_attribution_error_outranks_a_step_error(self, tmp_path, capsys):
+        account = self._overrecycled(tmp_path, 9)
+        economy = self._write(
+            tmp_path,
+            "huge.economy",
+            "year = 2020\ngdp = 10\ngfcf_rate = 0.26\ncfc_rate = 0.13\n"
+            "sector = huge, 50, dissipative_flow\n",
+        )
+        scenario = self._write(tmp_path, "divert.scenario", self.DIVERT_ALL)
+        assert main(["scenario", account, economy, scenario]) == 3
+        err = capsys.readouterr().err
+        assert "attributed values exceed GDP by 41.3 trillion" in err and "step 0" not in err
+
+    def test_a_failing_account_outranks_a_bad_rounding(self, tmp_path, capsys):
+        assert main(["metrics", self._failing_account(tmp_path), "--round", "401"]) == 2
+        assert "account fails validation" in capsys.readouterr().err
+
+    def test_an_unreadable_economy_outranks_a_failing_account(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.economy")
+        assert main(["valuemap", self._failing_account(tmp_path), missing]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}") and "validation" not in err
+
+    def test_a_failing_account_prints_no_year_warning(self, tmp_path, capsys):
+        text = ECONOMY_PATH.read_text().replace("year = 2020", "year = 2019")
+        economy = self._write(tmp_path, "early.economy", text)
+        assert main(["valuemap", self._failing_account(tmp_path), economy]) == 2
+        err = capsys.readouterr().err
+        assert "account fails validation" in err and "warning:" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -68,6 +68,25 @@ def test_validate_loads_no_metric_valuemap_or_scenario_code():
     assert not loaded & {"circuflow.metrics", "circuflow.scenarios", "circuflow.valuemap"}
 
 
+@pytest.mark.parametrize(
+    ("argv", "runs", "skips"),
+    [
+        (["metrics", str(ACCOUNT_PATH)], "metrics", {"valuemap", "scenarios"}),
+        (["valuemap", str(ACCOUNT_PATH), str(ECONOMY_PATH)], "valuemap", {"metrics", "scenarios"}),
+    ],
+    ids=["metrics", "valuemap"],
+)
+def test_a_report_subcommand_loads_only_the_computation_it_runs(argv, runs, skips):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from circuflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    assert f"circuflow.{runs}" in loaded
+    assert sorted(loaded & {f"circuflow.{name}" for name in skips}) == []
+
+
 def test_the_validation_report_loads_no_render_metric_valuemap_or_scenario_code():
     loaded = _loaded_after(
         "from circuflow.accounts import render_validation, validate\n"

@@ -10,23 +10,40 @@ import ast
 import math
 import random
 import re
+import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import circuflow
-from circuflow.accounts import _significant, _signed
+from circuflow.accounts import MaterialFlowAccount, _significant, _signed, validate
 
 SOURCE = Path(circuflow.__file__).resolve().parent
 
 
 def _reference(value: float) -> str:
-    """The repr's exact decimal, rounded half up (away from zero) to six significant digits."""
+    """The repr's exact decimal, rounded half up (away from zero) to six significant digits.
+
+    The ``%g`` layout is written out here, not borrowed from ``%g``, which
+    would first turn the rounded decimal back into a binary value.
+    """
     if not math.isfinite(value):
-        return "%.6g" % value
+        return repr(value)
     exact = Decimal(repr(value))
-    if exact:
-        exact = exact.quantize(Decimal(1).scaleb(exact.adjusted() - 5), rounding=ROUND_HALF_UP)
-    return "%.6g" % float(exact)  # a six-digit decimal: %g only lays it out
+    if not exact:
+        return "-0" if exact.is_signed() else "0"
+    exact = exact.quantize(Decimal(1).scaleb(exact.adjusted() - 5), rounding=ROUND_HALF_UP)
+    sign, digits, _ = exact.as_tuple()
+    point = exact.adjusted()  # the power of ten of the first digit, after any carry
+    digits = "".join(map(str, digits)).rstrip("0")
+    sign = "-" if sign else ""
+    if not -4 <= point < 6:
+        mantissa = digits[0] + ("." + digits[1:] if digits[1:] else "")
+        return f"{sign}{mantissa}e{'-' if point < 0 else '+'}{abs(point):02d}"
+    if point < 0:
+        whole, fraction = "0", "0" * (-point - 1) + digits
+    else:
+        whole, fraction = digits[: point + 1].ljust(point + 1, "0"), digits[point + 1 :]
+    return sign + whole + ("." + fraction if fraction else "")
 
 
 def _on_a_tie(value: float) -> bool:
@@ -36,6 +53,7 @@ def _on_a_tie(value: float) -> bool:
 
 def _draws(rng: random.Random, count: int) -> list[float]:
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e22, 1234565000.0]
+    values += [1e-323, 2.225073858507201e-308, 9.9999995e-310, -9.99999951e-312]  # subnormal
     for _ in range(count):
         sign = rng.choice((-1.0, 1.0))
         tie = rng.randrange(100_000, 1_000_000) * 10 + 5  # seven digits ending in 5
@@ -44,6 +62,7 @@ def _draws(rng: random.Random, count: int) -> list[float]:
             sign * rng.random(),
             sign * float(f"{tie}e{rng.randint(-36, 24)}"),  # a tie at exponents -30 to 30
             sign * round(rng.uniform(0.0, 1e4), rng.randint(0, 4)),  # short reprs
+            sign * math.ldexp(rng.randrange(1, 2 ** rng.randint(1, 52)), -1074),  # subnormal
         )
     return values
 
@@ -54,9 +73,18 @@ def test_significant_digits_equal_the_exact_reference():
         assert _significant(value) == _reference(value), value
         if _on_a_tie(value):
             ties += 1
-        else:
+        elif not 0 < abs(value) < sys.float_info.min:  # %g rounds a subnormal's binary value
             assert _significant(value) == "%.6g" % value, value
     assert ties >= 20_000
+
+
+def test_a_subnormal_rounds_its_repr_digits():
+    outcome = validate(MaterialFlowAccount(2020, 5e-324, 0, 5e-324, 1e-323, 5e-324, 0, 0))
+    assert [check.message for check in outcome.violations] == [
+        "recycled_input (1e-323 Gt) exceeds structural_input (5e-324 Gt)"
+    ]
+    assert _significant(9.9999995e-310) == "1e-309"  # the mantissa carries into the exponent
+    assert _significant(-9.9999995e-320) == "-1e-319"  # repr -1e-319; %g reads -9.99989e-320
 
 
 def test_a_seventh_digit_tie_rounds_away_from_zero():
