@@ -209,22 +209,19 @@ def _fixed(value: float, places: int) -> str:
     places is "8.65384615384615300".  -0.004 at two places is "-0.00".
 
     ``_fixed_digits`` states the rule on the repr's digits; this is the same
-    rule with a fast path.  A repr with at most ``places`` decimals is padded.
-    A repr with more decimals, short of 1e15, in no exponent form and not on
-    a tie (exactly ``places + 1`` decimals ending in 5) goes to fixed-point
-    ``%f`` formatting, which rounds the exact binary value.  Off a tie the
-    shortest repr and the binary value lie on the same side of every rounding
-    midpoint: a midpoint strictly between them would round-trip, be no longer
-    than the repr and lie nearer the value, so it would be the repr.  Every
-    other value, NaN and the infinities included, takes the digit rule.
+    rule with a fast path for ``places`` under 14 and ``|value|`` under
+    ``10**(14 - places)``.  There one ulp is under half of ``10**-(places+1)``,
+    so ``%f`` at ``places + 1`` prints a repr with at most that many decimals
+    exactly: on a tie (``places + 1`` decimals ending in 5) it ends in 5.  Any
+    other last digit puts the repr off a tie, where ``%f`` at ``places``,
+    rounding the binary value, is the answer: the repr and the value lie on
+    the same side of every rounding midpoint, since a midpoint strictly between
+    them would round-trip, be no longer than the repr and lie nearer the value,
+    so it would be the repr.  A 5, and any value outside the bound, take the digit rule.
     """
-    text = repr(value)
-    if -1e15 < value < 1e15 and "e" not in text:
-        decimals = len(text) - text.index(".") - 1
-        if decimals <= places:
-            return text + "0" * (places - decimals)
-        if decimals != places + 1 or text[-1] != "5":
-            return "%.*f" % (places, value)  # format(value, f".{places}f"), a third faster
+    if places < 14 and abs(value) < 10.0 ** (14 - places):
+        if ("%.*f" % (places + 1, value))[-1] != "5":
+            return "%.*f" % (places, value)
     return _fixed_digits(value, places)
 
 
@@ -233,8 +230,10 @@ def _significant(value: float) -> str:
 
     The repr is on a tie when it has exactly seven significant digits ending
     in 5 (1234565000.0 is one): ``%g`` rounds the binary value, which may lie
-    below the tie, so the value first moves one step away from zero.  Off a
-    tie ``%g`` rounds the right way, by the argument given in ``_fixed``.
+    below the tie, so the value first moves one step away from zero.  One ulp
+    of a normal value is far under a seventh-digit unit, so ``%.7g`` of a tie
+    ends in 5, and where it ends otherwise ``%g`` rounds the right way, by the
+    argument given in ``_fixed``.
 
     That argument needs a normal float.  A subnormal value can lie farther
     from its short repr than half a sixth-digit unit (1e-323 is about
@@ -242,14 +241,15 @@ def _significant(value: float) -> str:
     instead, and the repr's exponent is kept, one higher if the mantissa
     rounds up to 10.
     """
-    mantissa, _, exponent = repr(value).partition("e")
     if 0 < abs(value) < sys.float_info.min:
+        mantissa, _, exponent = repr(value).partition("e")
         digits = _significant(float(mantissa))
         carry = digits.lstrip("-") == "10"
         return f"{digits[:-1] if carry else digits}e{int(exponent) + carry}"
-    digits = mantissa.strip("-0.").replace(".", "")
-    if len(digits) == 7 and digits[-1] == "5":
-        value = math.nextafter(value, math.copysign(math.inf, value))
+    if ("%.7g" % value).partition("e")[0][-1] == "5":
+        digits = repr(value).partition("e")[0].strip("-0.").replace(".", "")
+        if len(digits) == 7 and digits[-1] == "5":
+            value = math.nextafter(value, math.copysign(math.inf, value))
     return "%.6g" % value
 
 

@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="decimal places for percentages (default: 1)",
+            help="decimal places for percentages, masses and money (default: 1)",
         )
         p.add_argument("--no-footnotes", action="store_true", help="omit provenance footnotes")
         if svg:

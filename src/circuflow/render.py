@@ -6,10 +6,10 @@ Each report renderer builds its numbers once, as an ordered ``{machine key:
 (kind, value)}`` table.  Machine format prints that table as it stands, one
 ``key = value`` line per entry in insertion order, with shortest-round-trip
 floats, so identical inputs give byte-identical output.  Plain and markdown
-rows and the SVG text labels look their numbers up in the same table by key
-and format them through one ``kind -> formatter`` table, so a human format
-cannot show a number the machine format lacks.  The only human cells that
-are not keys are the scenario delta column and the valuemap mass column.
+rows and the SVG text labels take their numbers from the same table by key,
+each formatted once per report by one ``kind -> formatter`` table, so a
+human format cannot show a number the machine format lacks.  Only the
+scenario delta column and the valuemap mass column are not keys.
 Labels, rate denominators and GDP categories come from ``metrics.RATES``,
 ``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``, imported where used so
 that ``validate``, which loads this module through ``cli``, loads neither.
@@ -18,8 +18,11 @@ Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
 other number is an exact quotient.  SVG charts come only from
 ``svg_metrics`` and ``svg_valuemap`` (SVG is not a ``RenderSpec`` format)
-and are emitted from small string templates on purpose: the tool stays
-dependency-free.
+and are filled in from string templates on purpose: the tool stays
+dependency-free.  A chart's constant text (head, ids, colours, escaped
+labels, fixed geometry, footnote) is built once, on first use, into one
+``%`` template per bar, segment or legend row, so a call formats only its
+numbers.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ FORMAT_MACHINE = "machine"
 FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE)
 
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
+# Chart geometry in px that each call reads: the top and bottom of the metrics
+# plot, and the left edge and width of the valuemap's stacked bar.
+_PLOT_TOP, _PLOT_BOTTOM, _BAR_LEFT, _BAR_WIDTH = 70, 360, 20, 600
 
 
 class RenderSpec(Record):
@@ -103,33 +109,19 @@ _FORMATTERS = {
 
 
 def _cells(numbers: Numbers, places: int) -> Callable[[str], str]:
-    """``cell(key)``: the number under ``key``, formatted by its kind."""
-
-    def cell(key: str) -> str:
-        kind, value = numbers[key]
-        return _FORMATTERS[kind](value, places)
-
-    return cell
+    """``cell(key)``: the number under ``key``, formatted by its kind, each formatted once."""
+    return {k: _FORMATTERS[kind](v, places) for k, (kind, v) in numbers.items()}.__getitem__
 
 
 def _plain_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    table = [headers, *rows]
+    line = "  ".join(f"%-{max(map(len, column))}s" for column in zip(*table))
+    return "\n".join((line % row).rstrip() for row in table)
 
 
 def _markdown_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+    rule = ("---",) * len(headers)
+    return "\n".join(f"| {' | '.join(row)} |" for row in (headers, rule, *rows))
 
 
 def _project(spec: RenderSpec, numbers: Numbers, layout: Layout) -> str:
@@ -229,22 +221,25 @@ def _gdp_share_stem(category: str) -> str:
 
 
 @cache
-def _scenario_tables() -> tuple[tuple[tuple[str, ...], tuple[tuple[str, str], ...], str], ...]:
+def _scenario_tables() -> tuple[tuple[tuple[str, ...], tuple[tuple[str, ...], ...], str], ...]:
     """(headers, rows, delta kind) of the two scenario tables, built on first use.
 
-    Each row is (label, key stem): its numbers are "baseline_<stem>" and
-    "after_<stem>".  The tables come from ``metrics`` and ``valuemap``, which
-    are imported here so that ``validate`` loads neither.
+    Each row is (label, baseline key, after key): "baseline_<stem>" and
+    "after_<stem>" for the row's key stem.  The tables come from ``metrics``
+    and ``valuemap``, which are imported here so that ``validate`` loads neither.
     """
     from .metrics import RATES
     from .valuemap import CATEGORIES
 
+    def row(label, stem):
+        return label, f"baseline_{stem}", f"after_{stem}"
+
     rate_rows = (
-        *((label, key) for key, label, *_ in RATES),
-        ("waste share of input", "waste_share"),
-        *((f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
+        *(row(label, key) for key, label, *_ in RATES),
+        row("waste share of input", "waste_share"),
+        *(row(f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
     )
-    value_rows = tuple((label, f"{key}_value") for key, label, _ in CATEGORIES)
+    value_rows = tuple(row(label, f"{key}_value") for key, label, _ in CATEGORIES)
     return (
         (("quantity", "baseline", "after", "delta"), rate_rows, "pp"),
         (("value", "baseline", "after", "delta"), value_rows, "+$"),
@@ -287,8 +282,7 @@ def render_scenario_comparison(
         for headers, rows, delta_kind in _scenario_tables():
             delta = _FORMATTERS[delta_kind]
             cells = []
-            for label, stem in rows:
-                before, after = f"baseline_{stem}", f"after_{stem}"
+            for label, before, after in rows:
                 # The delta column is human-only: machine output prints both sides.
                 change = numbers[after][1] - numbers[before][1]
                 cells.append((label, cell(before), cell(after), delta(change, spec.rounding)))
@@ -300,16 +294,47 @@ def render_scenario_comparison(
 
 
 def _escape(text: str) -> str:
-    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape ``&``, ``<`` and ``>`` for SVG text content, and ``%`` for a ``%`` template."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("%", "%%")
 
 
-def _svg_document(width: int, height: int, body: list[str]) -> str:
-    head = (
+def _svg_head(width: int, height: int, title_x: int, title: str) -> str:
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">'
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif">\n'
+        f'<text id="title" x="{title_x}" y="30" font-size="18">{title}</text>\n'
     )
-    return "\n".join([head] + body + ["</svg>"]) + "\n"
+
+
+@cache
+def _metrics_chart() -> tuple[str, tuple[tuple[str, str, str], ...], str, str]:
+    """``svg_metrics``' head, ``(template, denominator key, rate key)`` per bar, and ceiling."""
+    from .metrics import DENOMINATORS, RATES
+
+    plot_left, bar_width, gap = 60, 140, 50
+    # One bar per metric but the ceiling, each over its own denominator.
+    *bars, (ceiling_key, *_) = RATES
+    denominator_labels = {key: label for key, label, _ in DENOMINATORS}
+    rows = []
+    for index, (rate_key, rate_name, _, _, denominator_key) in enumerate(bars):
+        slug = denominator_key.removeprefix("denominator_").replace("_", "-")
+        x = plot_left + index * (bar_width + gap)
+        # filled with the bar's top and height, denominator, rate label baseline and rate
+        template = (
+            f'<rect id="bar-{slug}" x="{x:.1f}" y="%.1f" width="{bar_width}" height="%.1f" '
+            f'fill="{_SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]}"/>\n'
+            f'<text id="denominator-{slug}" x="{x + bar_width / 2:.1f}" y="{_PLOT_BOTTOM + 20}" '
+            f'font-size="13" text-anchor="middle">{_escape(denominator_labels[denominator_key])}: '
+            f'%s</text>\n<text id="rate-{rate_name}" x="{x + bar_width / 2:.1f}" y="%.1f" '
+            f'font-size="14" text-anchor="middle">{_escape(rate_name)} %s</text>\n'
+        )
+        rows.append((template, denominator_key, rate_key))
+    ceiling = (
+        '<text id="rate-potential-ceiling" x="620" y="30" font-size="13" '
+        'text-anchor="end">ceiling %s</text>\n</svg>\n'
+    )
+    head = _svg_head(640, 400, plot_left, "Circularity: shrinking denominators, rising rate")
+    return head, tuple(rows), ceiling, ceiling_key
 
 
 def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> str:
@@ -318,87 +343,62 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     One labeled text element per reported quantity (three denominators,
     three rates, the ceiling).
     """
-    from .metrics import DENOMINATORS, RATES
-
     spec = spec or RenderSpec()
-    numbers = _metric_numbers(report)
-    cell = _cells(numbers, spec.rounding)
-    width, height = 640, 400
-    plot_left, plot_top, plot_bottom = 60, 70, 360
-    bar_width, gap = 140, 50
-    scale = (plot_bottom - plot_top) / max(report.denominator_total, 1e-300)
+    cell = _cells(_metric_numbers(report), spec.rounding)
+    head, bars, ceiling, ceiling_key = _metrics_chart()
+    scale = (_PLOT_BOTTOM - _PLOT_TOP) / max(report.denominator_total, 1e-300)
+    body = [head]
+    for template, denominator_key, rate_key in bars:
+        bar_height = getattr(report, denominator_key) * scale
+        y = _PLOT_BOTTOM - bar_height
+        body.append(template % (y, bar_height, cell(denominator_key), y - 8, cell(rate_key)))
+    body.append(ceiling % cell(ceiling_key))
+    return "".join(body)
 
-    # One bar per metric but the ceiling, each over its own denominator.
-    *bars, (ceiling_key, *_) = RATES
-    denominator_labels = {key: label for key, label, _ in DENOMINATORS}
-    body = [
-        f'<text id="title" x="{plot_left}" y="30" font-size="18">'
-        "Circularity: shrinking denominators, rising rate</text>"
-    ]
-    for index, (rate_key, rate_name, _, _, denominator_key) in enumerate(bars):
-        slug = denominator_key.removeprefix("denominator_").replace("_", "-")
-        x = plot_left + index * (bar_width + gap)
-        bar_height = numbers[denominator_key][1] * scale
-        y = plot_bottom - bar_height
+
+@cache
+def _valuemap_chart() -> tuple[str, tuple[tuple[str, str, str, str], ...], str]:
+    """``svg_valuemap``'s head, segment and legend templates with their keys, and footnote."""
+    from .valuemap import CATEGORIES
+
+    bar_top, bar_height = 60, 48
+    rows = []
+    for index, (key, label, _) in enumerate(CATEGORIES):
         color = _SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]
-        body.append(
-            f'<rect id="bar-{slug}" x="{x:.1f}" y="{y:.1f}" width="{bar_width}" '
-            f'height="{bar_height:.1f}" fill="{color}"/>'
+        y = bar_top + bar_height + 28 + index * 20
+        # filled with the segment's left edge and width, and the share and value
+        segment = (
+            f'<rect id="segment-{key}" x="%.2f" y="{bar_top}" width="%.2f" '
+            f'height="{bar_height}" fill="{color}"/>\n'
         )
-        body.append(
-            f'<text id="denominator-{slug}" x="{x + bar_width / 2:.1f}" y="{plot_bottom + 20}" '
-            f'font-size="13" text-anchor="middle">{_escape(denominator_labels[denominator_key])}: '
-            f"{cell(denominator_key)}</text>"
+        legend = (
+            f'<rect x="{_BAR_LEFT}" y="{y - 11}" width="12" height="12" fill="{color}"/>\n'
+            f'<text id="share-{key}" x="{_BAR_LEFT + 18}" y="{y}" font-size="13">'
+            f"{_escape(label)}: %s (%s)</text>\n"
         )
-        body.append(
-            f'<text id="rate-{rate_name}" x="{x + bar_width / 2:.1f}" y="{y - 8:.1f}" '
-            f'font-size="14" text-anchor="middle">{_escape(rate_name)} '
-            f"{cell(rate_key)}</text>"
-        )
-    body.append(
-        f'<text id="rate-potential-ceiling" x="{width - 20}" y="30" font-size="13" '
-        f'text-anchor="end">ceiling {cell(ceiling_key)}</text>'
+        rows.append((segment, legend, f"{key}_share", f"{key}_value"))
+    footnote = (
+        f'<text id="footnote" x="{_BAR_LEFT}" y="252" font-size="11" fill="#555">'
+        "waste-management value booked wholly to reverse flows; direct share likely lower"
+        "</text>\n"
     )
-    return _svg_document(width, height, body)
+    head = _svg_head(640, 260, _BAR_LEFT, "GDP value by resource-flow category")
+    return head, tuple(rows), footnote
 
 
 def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) -> str:
     """Stacked horizontal bar of GDP shares with a five-entry legend."""
-    from .valuemap import CATEGORIES
-
     spec = spec or RenderSpec()
     numbers = _valuemap_numbers(attribution)
     cell = _cells(numbers, spec.rounding)
-    width, height = 640, 260
-    bar_left, bar_top, bar_width, bar_height = 20, 60, 600, 48
-
-    body = [
-        f'<text id="title" x="{bar_left}" y="30" font-size="18">'
-        "GDP value by resource-flow category</text>"
-    ]
-    x = bar_left
-    for index, (key, _, _) in enumerate(CATEGORIES):
-        segment = numbers[f"{key}_share"][1] * bar_width
+    head, rows, footnote = _valuemap_chart()
+    segments, legend, x = [head], [], _BAR_LEFT
+    for segment_template, legend_template, share_key, value_key in rows:
+        segment = numbers[share_key][1] * _BAR_WIDTH
         if segment > 0:
-            body.append(
-                f'<rect id="segment-{key}" x="{x:.2f}" y="{bar_top}" width="{segment:.2f}" '
-                f'height="{bar_height}" fill="{_SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]}"/>'
-            )
+            segments.append(segment_template % (x, segment))
         x += segment
-    for index, (key, label, _) in enumerate(CATEGORIES):
-        y = bar_top + bar_height + 28 + index * 20
-        body.append(
-            f'<rect x="{bar_left}" y="{y - 11}" width="12" height="12" '
-            f'fill="{_SEGMENT_COLORS[index % len(_SEGMENT_COLORS)]}"/>'
-        )
-        body.append(
-            f'<text id="share-{key}" x="{bar_left + 18}" y="{y}" font-size="13">'
-            f"{_escape(label)}: {cell(key + '_share')} ({cell(key + '_value')})</text>"
-        )
+        legend.append(legend_template % (cell(share_key), cell(value_key)))
     if spec.include_provenance_footnotes:
-        body.append(
-            f'<text id="footnote" x="{bar_left}" y="{height - 8}" font-size="11" fill="#555">'
-            "waste-management value booked wholly to reverse flows; direct share likely lower"
-            "</text>"
-        )
-    return _svg_document(width, height, body)
+        legend.append(footnote)
+    return "".join(segments + legend) + "</svg>\n"

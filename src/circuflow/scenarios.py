@@ -150,69 +150,69 @@ class _Bins:
 
     mass_residual = MaterialFlowAccount.mass_residual
 
-    def update(self, values: dict[str, float]) -> None:
-        """Store a move's new values, checked as ``MaterialFlowAccount`` checks its masses."""
-        for name, value in values.items():
-            setattr(self, name, check_mass(value, name))
-        _check_mass_sums(self)
-
-
-# Gt moved, source bin, sink bin, and the new values in MASS_FIELDS order
-_Move = tuple[float, str, str, dict[str, float]]
-
-_OUTPUT_BINS = frozenset(("emissions_output", "waste_output", "net_stock_additions"))
 
 #: The annually recoverable pool: the fields of the real rate's denominator.
 _POOL = _DENOMINATOR_FIELDS[_RATE_ROWS["real_rate"][4]]
 
 
-def _recover(account: _Bins, fraction: float) -> _Move:
-    new_recycled = fraction * _mass(account, _POOL)
-    increase = new_recycled - account.recycled_input
-    new_waste = account.waste_output - increase
+def _recover(bins: _Bins, fraction: float) -> float:
+    new_recycled = fraction * _mass(bins, _POOL)
+    increase = new_recycled - bins.recycled_input
+    new_waste = bins.waste_output - increase
     if new_waste < 0:
         raise ValueError(
             f"recovery increase {_significant(increase)} Gt exceeds the waste bin "
-            f"({_significant(account.waste_output)} Gt)"
+            f"({_significant(bins.waste_output)} Gt)"
         )
-    values = {"recycled_input": new_recycled, "waste_output": new_waste}
-    return increase, "waste_output", "recycled_input", values
+    bins.recycled_input = check_mass(new_recycled, "recycled_input")
+    bins.waste_output = check_mass(new_waste, "waste_output")
+    return increase
 
 
-def _divert(account: _Bins, fraction: float) -> _Move:
-    moved = fraction * account.waste_output
-    new_stock = account.net_stock_additions + moved
-    if new_stock > account.structural_input:
+def _divert(bins: _Bins, fraction: float) -> float:
+    moved = fraction * bins.waste_output
+    new_stock = bins.net_stock_additions + moved
+    if new_stock > bins.structural_input:
         raise ValueError(
             f"diverting {_significant(moved)} Gt would push net_stock_additions to "
             f"{_significant(new_stock)} Gt, beyond structural_input "
-            f"({_significant(account.structural_input)} Gt)"
+            f"({_significant(bins.structural_input)} Gt)"
         )
-    values = {"waste_output": account.waste_output - moved, "net_stock_additions": new_stock}
-    return moved, "waste_output", "net_stock_additions", values
+    bins.waste_output = check_mass(bins.waste_output - moved, "waste_output")
+    bins.net_stock_additions = check_mass(new_stock, "net_stock_additions")
+    return moved
 
 
-def _replace_energetic(account: _Bins, fraction: float) -> _Move:
-    moved = fraction * account.energetic_input
-    values = {
-        "energetic_input": account.energetic_input - moved,
-        "structural_input": account.structural_input + moved,
-        "net_stock_additions": account.net_stock_additions + moved,
-    }
-    return moved, "energetic_input", "net_stock_additions", values
+def _replace_energetic(bins: _Bins, fraction: float) -> float:
+    moved = fraction * bins.energetic_input
+    bins.energetic_input = check_mass(bins.energetic_input - moved, "energetic_input")
+    bins.structural_input = check_mass(bins.structural_input + moved, "structural_input")
+    bins.net_stock_additions = check_mass(bins.net_stock_additions + moved, "net_stock_additions")
+    return moved
 
 
-#: Scenario-document op name, step type and mass move of each transformation;
-#: ScaleReverseFlowValue moves no mass.
+#: Scenario-document op name, step type, mass move, source and sink bin of each step.  A
+#: move stores its new values, checked as the account checks them, and returns the Gt moved.
 _STEPS = (
-    ("set_recovery_rate", SetRecoveryRate, _recover),
-    ("divert_waste_to_stock", DivertWasteToStock, _divert),
-    ("replace_energetic_with_stock", ReplaceEnergeticWithStock, _replace_energetic),
-    ("scale_reverse_flow_value", ScaleReverseFlowValue, None),
+    ("set_recovery_rate", SetRecoveryRate, _recover, "waste_output", "recycled_input"),
+    ("divert_waste_to_stock", DivertWasteToStock, _divert, "waste_output", "net_stock_additions"),
+    (
+        "replace_energetic_with_stock",
+        ReplaceEnergeticWithStock,
+        _replace_energetic,
+        "energetic_input",
+        "net_stock_additions",
+    ),
+    ("scale_reverse_flow_value", ScaleReverseFlowValue, None, None, None),
 )
-STEP_OPS: dict[str, type[Transformation]] = {op: cls for op, cls, _ in _STEPS}
-OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls, _ in _STEPS}
-_MOVES = {cls: move for _, cls, move in _STEPS if move is not None}
+STEP_OPS: dict[str, type[Transformation]] = {op: cls for op, cls, *_ in _STEPS}
+OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls, *_ in _STEPS}
+#: Each move and its residual sign, (source is an output bin) - (sink is an output bin).
+_MOVES = {
+    cls: (move, (source in MASS_FIELDS[4:]) - (sink in MASS_FIELDS[4:]))  # outputs come last
+    for _, cls, move, source, sink in _STEPS
+    if move is not None
+}
 
 
 def apply_scenario(
@@ -245,11 +245,11 @@ def apply_scenario(
 
     for index, step in enumerate(scenario.steps):
         try:
-            move = _MOVES.get(type(step))
-            if move is not None:
-                amount, source, sink, values = move(bins, step.fraction)
-                bins.update(values)
-                expected_residual += amount * ((source in _OUTPUT_BINS) - (sink in _OUTPUT_BINS))
+            if type(step) in _MOVES:
+                move, sign = _MOVES[type(step)]
+                amount = move(bins, step.fraction)
+                _check_mass_sums(bins)
+                expected_residual += amount * sign
                 if type(step) is ReplaceEnergeticWithStock and amount > 0:
                     notes.append(
                         f"{_significant(amount)} Gt of energetic input rebooked as stock-building "

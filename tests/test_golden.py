@@ -31,8 +31,20 @@ for _name, _path in (("full_recovery", FULL_RECOVERY_PATH), ("waste_diversion", 
 
 
 # ``tests/golden/<name>.svg`` is the chart that ``--svg`` writes for one call
-# below, captured at commit 79e4f0a.
+# below: "metrics" and "valuemap" captured at commit 79e4f0a, the rest at
+# ecfec1e.  The economy without a reverse_flow sector pins a skipped segment
+# besides waste.
+NO_REVERSE_FLOW = str(Path(__file__).resolve().parent / "data" / "no_reverse_flow.economy")
 SVG_CALLS = {"metrics": ["metrics", ACCOUNT], "valuemap": ["valuemap", ACCOUNT, ECONOMY]}
+for _name, _argv in tuple(SVG_CALLS.items()):
+    SVG_CALLS.update(
+        {
+            f"{_name}_round0": [*_argv, "--round", "0"],
+            f"{_name}_round3": [*_argv, "--round", "3"],
+            f"{_name}_no_footnotes": [*_argv, "--no-footnotes"],
+        }
+    )
+SVG_CALLS["valuemap_no_reverse_flow"] = ["valuemap", ACCOUNT, NO_REVERSE_FLOW]
 
 
 def test_every_golden_file_has_a_call():

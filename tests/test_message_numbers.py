@@ -57,10 +57,13 @@ def _draws(rng: random.Random, count: int) -> list[float]:
     for _ in range(count):
         sign = rng.choice((-1.0, 1.0))
         tie = rng.randrange(100_000, 1_000_000) * 10 + 5  # seven digits ending in 5
+        tie = sign * float(f"{tie}e{rng.randint(-36, 24)}")  # a tie at exponents -30 to 30
         values += (
             sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-30, 30),
             sign * rng.random(),
-            sign * float(f"{tie}e{rng.randint(-36, 24)}"),  # a tie at exponents -30 to 30
+            tie,
+            math.nextafter(tie, 0.0),  # off a tie, though %.7g still ends in 5
+            math.nextafter(tie, tie * math.inf),
             sign * round(rng.uniform(0.0, 1e4), rng.randint(0, 4)),  # short reprs
             sign * math.ldexp(rng.randrange(1, 2 ** rng.randint(1, 52)), -1074),  # subnormal
         )
@@ -109,8 +112,7 @@ ROUNDING_TYPES = set("eEfFgGn%")
 FORMATTERS = {
     ("accounts", "_fixed"): {"f"},
     ("accounts", "_significant"): {"g"},
-    ("render", "svg_metrics"): {"f"},  # chart geometry: coordinates, not displayed numbers
-    ("render", "svg_valuemap"): {"f"},
+    ("render", "_metrics_chart"): {"f"},  # chart geometry: coordinates, not displayed numbers
 }
 
 PERCENT_CONVERSION = re.compile(r"%(?:\([^)]*\))?([-+ #0]*)(?:\*|\d+)?(?:\.(?:\*|\d+))?([a-zA-Z%])")

@@ -621,7 +621,11 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
     ``format`` fast path off a tie; on every draw it must equal the digit rule
     it shortcuts, and the draws crowd its boundaries: 1e14 to 1e16, reprs
     with exactly ``places + 1`` decimals (ties end in 5), zeros of either
-    sign, and the 0 to 3 places of a table's percentages.
+    sign, and the 0 to 3 places of a table's percentages.  The fast path
+    takes ``places`` under 14 and magnitudes under ``10**(14 - places)``, so
+    more draws sit on that bound and either side of it, at 13 and 14 places,
+    and one ulp off a tie, where ``%f`` at ``places + 1`` ends in 5 although
+    the repr is longer.
     """
     from fractions import Fraction
 
@@ -665,6 +669,21 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
             (-rng.random() * 0.5 * 10.0**-places, places),  # rounds to a negative zero
             (rng.uniform(-1.0, 1.0), rng.randint(0, 3)),
             (round(rng.random(), rng.randint(1, 5)), rng.randint(0, 3)),  # x100 lands on ties
+        )
+    for places in range(16):
+        bound = 10.0 ** (14 - places)
+        for value in (bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)):
+            draws += ((value, places), (-value, places))
+    for _ in range(N):
+        side, places = rng.choice((-1.0, 1.0)), rng.randint(0, 14)
+        whole = rng.randrange(10 ** (14 - places))
+        decimals = "".join(rng.choice("0123456789") for _ in range(places))
+        tie = side * float(f"{whole}.{decimals}5")
+        draws += (
+            (tie, places),
+            (math.nextafter(tie, 0.0), places),  # off a tie, %f at places + 1 still ends in 5
+            (math.nextafter(tie, side * math.inf), places),
+            (side * rng.uniform(1.0, 10.0) * 10.0 ** (13 - places), rng.choice((13, 14))),
         )
     for value, places in draws:
         for shown in (value, value * 100.0):

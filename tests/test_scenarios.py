@@ -143,16 +143,16 @@ class TestReplaceEnergeticWithStock:
 
 
 def _skew_move(monkeypatch, cls, skew: dict, declared: float = 0.0) -> None:
-    """Make every ``cls`` step add ``skew`` to its new values and ``declared`` to its amount."""
-    move = scenarios._MOVES[cls]
+    """Make every ``cls`` move add ``skew`` to the bins after it and ``declared`` to its amount."""
+    move, sign = scenarios._MOVES[cls]
 
-    def skewed_move(current, fraction):
-        amount, source, sink, values = move(current, fraction)
+    def skewed_move(bins, fraction):
+        amount = move(bins, fraction)
         for name, change in skew.items():
-            values[name] += change
-        return amount + declared, source, sink, values
+            setattr(bins, name, getattr(bins, name) + change)
+        return amount + declared
 
-    monkeypatch.setitem(scenarios._MOVES, cls, skewed_move)
+    monkeypatch.setitem(scenarios._MOVES, cls, (skewed_move, sign))
 
 
 class TestStepErrors:
