@@ -10,7 +10,10 @@ tolerance for account files that do not set one themselves.
 metrics, valuemap and scenario share one parser table, ``_REPORTS``, and one
 set-up, ``_prepare``.  Their faults show in this order: documents in argument
 order (4), the account's validation (2), render options (4), then the
-baseline and each scenario step (3).
+baseline and each scenario step (3).  ``render`` and the metrics, valuemap
+and scenarios modules are imported inside ``_prepare`` and the subcommands
+that use them, so ``validate`` loads none of them; the parsers read the
+format names from ``record``.
 """
 
 from __future__ import annotations
@@ -24,22 +27,10 @@ from typing import TYPE_CHECKING
 from . import documents
 from .accounts import render_validation, validate, waste_share
 from .errors import CircuflowError, DocumentError
-from .render import (
-    FORMAT_PLAIN,
-    FORMATS,
-    RenderSpec,
-    render_metrics,
-    render_scenario_comparison,
-    render_valuemap,
-    svg_metrics,
-    svg_valuemap,
-)
+from .record import FORMAT_PLAIN, FORMATS
 
 if TYPE_CHECKING:
     from collections.abc import Callable
-
-# metrics, valuemap and scenarios are imported inside the subcommands that
-# use them, so each call loads only the modules its subcommand runs.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,6 +80,8 @@ def _load(parse: Callable[..., object], path: str, **options: Callable[[], objec
 
 def _prepare(args: argparse.Namespace) -> tuple:
     """Load, judge and set up a report subcommand: ``(spec, account, *documents after it)``."""
+    from .render import RenderSpec
+
     account = _load(documents.parse_account, args.account, default_tolerance=_default_tolerance)
     loaded = {
         name: _load(getattr(documents, f"parse_{name}"), getattr(args, name))
@@ -128,6 +121,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import metric_suite
+    from .render import render_metrics, svg_metrics
 
     spec, account = _prepare(args)
     report = metric_suite(account)
@@ -138,6 +132,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_valuemap(args: argparse.Namespace) -> int:
+    from .render import render_valuemap, svg_valuemap
     from .valuemap import attribute_value
 
     spec, account, economy = _prepare(args)
@@ -152,6 +147,7 @@ def _cmd_valuemap(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from .metrics import metric_suite
+    from .render import render_scenario_comparison
     from .scenarios import apply_scenario
     from .valuemap import attribute_value
 

@@ -12,7 +12,10 @@ and the CLI all call these, so one rule gives one message wherever a value
 enters.  The numeric checkers take a ``float`` as it is and hand anything
 else to ``check_real``, so a float field costs one call: scenario steps
 call ``check_mass`` (naming the bin) and ``check_money`` on every value they
-change, and build each record only once, after the last step.
+change, and build each record only once, after the last step.  The
+fraction, mass and money checkers return a zero as ``+0.0``, so a ``-0``
+never prints as ``-0.0``.  The report format names sit beside
+``check_choice``, which ``RenderSpec`` judges them by.
 
 The float-dust rule is stated here too.  Identities that hold exactly in
 real arithmetic (energetic + structural = total, the categories summing to
@@ -28,6 +31,9 @@ from operator import attrgetter
 from typing import Any, TypeVar
 
 _R = TypeVar("_R", bound="Record")
+
+#: Report formats, here in the leaf module so that ``cli`` reads them without loading ``render``.
+FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE = FORMATS = ("plain", "markdown", "machine")
 
 #: Stores a field on a record under construction (``Record.__setattr__`` refuses).
 set_field = object.__setattr__
@@ -57,7 +63,7 @@ def check_fraction(value: object, what: str) -> float:
     fraction = value if type(value) is float else check_real(value, what)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"{what} must be a fraction in [0, 1], got {fraction!r}")
-    return fraction
+    return fraction + 0.0
 
 
 def check_mass(value: object, what: str = "mass") -> float:
@@ -67,7 +73,7 @@ def check_mass(value: object, what: str = "mass") -> float:
         raise ValueError(f"{what} must be finite, got {value!r}")
     if mass < 0:
         raise ValueError(f"{what} must be non-negative, got {value!r}")
-    return mass
+    return mass + 0.0
 
 
 def check_money(value: object, what: str, *, signed: bool = False) -> float:
@@ -81,7 +87,7 @@ def check_money(value: object, what: str, *, signed: bool = False) -> float:
         raise ValueError(f"monetary value must be finite, got {value!r}")
     if money < 0 and not signed:
         raise ValueError(f"{what} must be non-negative, got {money!r}")
-    return money
+    return money + 0.0
 
 
 def check_year(value: object) -> int:

@@ -11,8 +11,8 @@ each formatted once per report by one ``kind -> formatter`` table, so a
 human format cannot show a number the machine format lacks.  Only the
 scenario delta column and the valuemap mass column are not keys.
 Labels, rate denominators and GDP categories come from ``metrics.RATES``,
-``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``, imported where used so
-that ``validate``, which loads this module through ``cli``, loads neither.
+``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``; ``cli`` loads this
+module only for the report subcommands, so ``validate`` loads none of the three.
 
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
@@ -20,36 +20,30 @@ other number is an exact quotient.  SVG charts come only from
 ``svg_metrics`` and ``svg_valuemap`` (SVG is not a ``RenderSpec`` format)
 and are filled in from string templates on purpose: the tool stays
 dependency-free.  A chart's constant text (head, ids, colours, escaped
-labels, fixed geometry, footnote) is built once, on first use, into one
-``%`` template per bar, segment or legend row, so a call formats only its
-numbers.
+labels, fixed geometry, footnote) is built once, at import, into one ``%``
+template per bar, segment or legend row, so a call formats only its numbers.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import TYPE_CHECKING
 
 from .accounts import MAX_PLACES, _fixed, _signed, format_mass, format_percent
+from .metrics import DENOMINATORS, RATES, CircularityReport
+from .record import FORMAT_MACHINE, FORMAT_MARKDOWN, FORMAT_PLAIN, FORMATS
 from .record import Record, check_bool, check_choice, set_field
+from .valuemap import CATEGORIES, ValueAttribution
 
 if TYPE_CHECKING:
     from collections.abc import Callable
 
     from .accounts import MaterialFlowAccount
-    from .metrics import CircularityReport
-    from .valuemap import ValueAttribution
 
     # machine key -> (kind, value), in machine-output order
     Numbers = dict[str, tuple[str, float]]
     Table = tuple[tuple[str, ...], list[tuple[str, ...]]]
     # layout(cell) -> (title, tables, note blocks, footnote)
     Layout = Callable[[Callable[[str], str]], tuple[str, list[Table], list[str], str]]
-
-FORMAT_PLAIN = "plain"
-FORMAT_MARKDOWN = "markdown"
-FORMAT_MACHINE = "machine"
-FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_MACHINE)
 
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
 # Chart geometry in px that each call reads: the top and bottom of the metrics
@@ -143,8 +137,6 @@ def _project(spec: RenderSpec, numbers: Numbers, layout: Layout) -> str:
 
 
 def _metric_numbers(report: CircularityReport) -> Numbers:
-    from .metrics import DENOMINATORS
-
     numbers = {key: ("%", rate) for key, rate in report.rates().items()}
     numbers.update((key, ("Gt", getattr(report, key))) for key, _, _ in DENOMINATORS)
     return numbers
@@ -155,8 +147,6 @@ def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) ->
     spec = spec or RenderSpec()
 
     def layout(cell):
-        from .metrics import RATES
-
         rows = [(label, cell(key), cell(denominator)) for key, label, _, _, denominator in RATES]
         footnote = (
             f"note: rates are exact quotients rounded half-away-from-zero to "
@@ -192,8 +182,6 @@ def render_valuemap(
     spec = spec or RenderSpec()
 
     def layout(cell):
-        from .valuemap import CATEGORIES
-
         rows = []
         for category, label, mass_field in CATEGORIES:
             # The mass column is human-only: account masses are not report numbers.
@@ -220,30 +208,28 @@ def _gdp_share_stem(category: str) -> str:
     return "waste_gdp_share" if category == "waste" else f"{category}_share"
 
 
-@cache
-def _scenario_tables() -> tuple[tuple[tuple[str, ...], tuple[tuple[str, ...], ...], str], ...]:
-    """(headers, rows, delta kind) of the two scenario tables, built on first use.
+def _row(label: str, stem: str) -> tuple[str, str, str]:
+    """A scenario table row: its label, and the keys "baseline_<stem>" and "after_<stem>"."""
+    return label, f"baseline_{stem}", f"after_{stem}"
 
-    Each row is (label, baseline key, after key): "baseline_<stem>" and
-    "after_<stem>" for the row's key stem.  The tables come from ``metrics``
-    and ``valuemap``, which are imported here so that ``validate`` loads neither.
-    """
-    from .metrics import RATES
-    from .valuemap import CATEGORIES
 
-    def row(label, stem):
-        return label, f"baseline_{stem}", f"after_{stem}"
-
-    rate_rows = (
-        *(row(label, key) for key, label, *_ in RATES),
-        row("waste share of input", "waste_share"),
-        *(row(f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
-    )
-    value_rows = tuple(row(label, f"{key}_value") for key, label, _ in CATEGORIES)
-    return (
-        (("quantity", "baseline", "after", "delta"), rate_rows, "pp"),
-        (("value", "baseline", "after", "delta"), value_rows, "+$"),
-    )
+#: (headers, rows, delta kind) of the two scenario tables.
+_SCENARIO_TABLES = (
+    (
+        ("quantity", "baseline", "after", "delta"),
+        (
+            *(_row(label, key) for key, label, *_ in RATES),
+            _row("waste share of input", "waste_share"),
+            *(_row(f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
+        ),
+        "pp",
+    ),
+    (
+        ("value", "baseline", "after", "delta"),
+        tuple(_row(label, f"{key}_value") for key, label, _ in CATEGORIES),
+        "+$",
+    ),
+)
 
 
 def render_scenario_comparison(
@@ -279,7 +265,7 @@ def render_scenario_comparison(
 
     def layout(cell):
         tables = []
-        for headers, rows, delta_kind in _scenario_tables():
+        for headers, rows, delta_kind in _SCENARIO_TABLES:
             delta = _FORMATTERS[delta_kind]
             cells = []
             for label, before, after in rows:
@@ -306,11 +292,8 @@ def _svg_head(width: int, height: int, title_x: int, title: str) -> str:
     )
 
 
-@cache
 def _metrics_chart() -> tuple[str, tuple[tuple[str, str, str], ...], str, str]:
     """``svg_metrics``' head, ``(template, denominator key, rate key)`` per bar, and ceiling."""
-    from .metrics import DENOMINATORS, RATES
-
     plot_left, bar_width, gap = 60, 140, 50
     # One bar per metric but the ceiling, each over its own denominator.
     *bars, (ceiling_key, *_) = RATES
@@ -337,6 +320,9 @@ def _metrics_chart() -> tuple[str, tuple[tuple[str, str, str], ...], str, str]:
     return head, tuple(rows), ceiling, ceiling_key
 
 
+_METRICS_CHART = _metrics_chart()
+
+
 def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> str:
     """Waterfall of the shrinking denominators, annotated with the rates.
 
@@ -345,7 +331,7 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     """
     spec = spec or RenderSpec()
     cell = _cells(_metric_numbers(report), spec.rounding)
-    head, bars, ceiling, ceiling_key = _metrics_chart()
+    head, bars, ceiling, ceiling_key = _METRICS_CHART
     scale = (_PLOT_BOTTOM - _PLOT_TOP) / max(report.denominator_total, 1e-300)
     body = [head]
     for template, denominator_key, rate_key in bars:
@@ -356,11 +342,8 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     return "".join(body)
 
 
-@cache
 def _valuemap_chart() -> tuple[str, tuple[tuple[str, str, str, str], ...], str]:
     """``svg_valuemap``'s head, segment and legend templates with their keys, and footnote."""
-    from .valuemap import CATEGORIES
-
     bar_top, bar_height = 60, 48
     rows = []
     for index, (key, label, _) in enumerate(CATEGORIES):
@@ -386,18 +369,21 @@ def _valuemap_chart() -> tuple[str, tuple[tuple[str, str, str, str], ...], str]:
     return head, tuple(rows), footnote
 
 
+_VALUEMAP_CHART = _valuemap_chart()
+
+
 def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) -> str:
     """Stacked horizontal bar of GDP shares with a five-entry legend."""
     spec = spec or RenderSpec()
     numbers = _valuemap_numbers(attribution)
     cell = _cells(numbers, spec.rounding)
-    head, rows, footnote = _valuemap_chart()
+    head, rows, footnote = _VALUEMAP_CHART
     segments, legend, x = [head], [], _BAR_LEFT
     for segment_template, legend_template, share_key, value_key in rows:
         segment = numbers[share_key][1] * _BAR_WIDTH
-        if segment > 0:
+        if segment > 0:  # a depletion year's negative stock share is not drawn
             segments.append(segment_template % (x, segment))
-        x += segment
+            x += segment
         legend.append(legend_template % (cell(share_key), cell(value_key)))
     if spec.include_provenance_footnotes:
         legend.append(footnote)

@@ -9,6 +9,7 @@ for a document, ``error: `` for the CLI), then the field name, then the
 rule's one wording.
 """
 
+import math
 from functools import partial
 
 import pytest
@@ -23,6 +24,7 @@ from circuflow import (
     cli,
 )
 from circuflow.documents import parse_account, parse_economy, parse_scenario
+from circuflow.record import check_fraction, check_mass, check_money
 from support import (
     ACCOUNT_PATH,
     ECONOMY_PATH,
@@ -47,13 +49,19 @@ def _record(build, *args, **kwargs) -> tuple[str, str]:
     return str(info.value), ""
 
 
-def _document(parse, text: str, key: str, value: str) -> tuple[str, str]:
-    """Set the first ``key`` line of ``text`` to ``value`` (or append one) and parse it."""
+def _with_value(text: str, key: str, value: str) -> tuple[str, int]:
+    """``text`` with its first ``key`` line set to ``value`` (or one appended), and its index."""
     lines = text.splitlines()
     at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), len(lines))
     lines[at:at + 1] = [f"{key} = {value}"]
+    return "\n".join(lines) + "\n", at
+
+
+def _document(parse, text: str, key: str, value: str) -> tuple[str, str]:
+    """Set the first ``key`` line of ``text`` to ``value`` (or append one) and parse it."""
+    text, at = _with_value(text, key, value)
     with pytest.raises(DocumentError) as info:
-        parse("\n".join(lines) + "\n")
+        parse(text)
     assert (info.value.line, info.value.field) == (at + 1, key)
     return str(info.value), f"line {at + 1}, field {key!r}: "
 
@@ -193,3 +201,83 @@ def test_a_year_that_is_not_an_integer_reads_the_same_in_a_document_and_a_record
     message, prefix = _document(parse, text, "year", "2020.0")
     assert message == f"{prefix}year must be an integer, got '2020.0'"
     assert _record(reference_account, year=2020.0) == ("year must be an integer, got 2020.0", "")
+
+
+def _positive_zero(value: float) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        partial(check_fraction, what="fraction"),
+        partial(check_mass, what="mass"),
+        partial(check_money, what="gdp"),
+        partial(check_money, what="stock_addition_value", signed=True),
+    ],
+    ids=["fraction", "mass", "money", "signed-money"],
+)
+@pytest.mark.parametrize("zero", [-0.0, -0], ids=["-0.0", "-0"])
+def test_every_numeric_rule_stores_a_zero_as_positive_zero(rule, zero):
+    assert _positive_zero(rule(zero))
+
+
+ZERO_SITES = [
+    pytest.param(
+        lambda: reference_account(recycled_input=-0.0).recycled_input, id="record-mass"
+    ),
+    pytest.param(
+        lambda: reference_account(balance_tolerance=-0.0).balance_tolerance, id="record-fraction"
+    ),
+    pytest.param(lambda: SetRecoveryRate(-0.0).fraction, id="record-step"),
+    pytest.param(lambda: SectorValue("x", -0.0, "reverse_flow").value, id="record-sector"),
+    pytest.param(
+        lambda: attribute_value(reference_economy()).replace(reverse_flow_value=-0.0)
+        .reverse_flow_value,
+        id="record-attribution",
+    ),
+    pytest.param(
+        lambda: parse_account(_with_value(ACCOUNT_TEXT, "recycled_input", "-0")[0])
+        .recycled_input,
+        id="document-mass",
+    ),
+    pytest.param(
+        lambda: parse_account(_with_value(ACCOUNT_TEXT, "balance_tolerance", "-0.0")[0])
+        .balance_tolerance,
+        id="document-fraction",
+    ),
+    pytest.param(
+        lambda: parse_economy(_with_value(ECONOMY_TEXT, "services_share", "-0")[0])
+        .services_share,
+        id="document-economy-fraction",
+    ),
+    pytest.param(
+        lambda: parse_economy(
+            _with_value(ECONOMY_TEXT, "sector", "waste_management, -0.0, reverse_flow")[0]
+        ).sectors[0].value,
+        id="document-sector",
+    ),
+    pytest.param(
+        lambda: parse_scenario(_with_value(SCENARIO_TEXT, "step", "set_recovery_rate, -0")[0])
+        .steps[0].fraction,
+        id="document-step",
+    ),
+]
+
+
+@pytest.mark.parametrize("site", ZERO_SITES)
+def test_a_negative_zero_enters_every_site_as_positive_zero(site):
+    assert _positive_zero(site())
+
+
+def test_a_negative_zero_prints_unsigned_in_every_report(tmp_path, capsys):
+    account = tmp_path / "zero.account"
+    account.write_text(_with_value(ACCOUNT_TEXT, "recycled_input", "-0")[0], encoding="utf-8")
+    economy = tmp_path / "zero.economy"
+    economy.write_text(_with_value(ECONOMY_TEXT, "services_share", "-0")[0], encoding="utf-8")
+    for fmt in ("plain", "markdown", "machine"):
+        assert cli.main(["metrics", str(account), "--format", fmt]) == cli.EXIT_OK
+        assert cli.main(["valuemap", str(account), str(economy), "--format", fmt]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "apparent = 0.0\n" in out
+    assert "-0.0" not in out and "-0%" not in out and "-0 Gt" not in out

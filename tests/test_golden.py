@@ -32,9 +32,12 @@ for _name, _path in (("full_recovery", FULL_RECOVERY_PATH), ("waste_diversion", 
 
 # ``tests/golden/<name>.svg`` is the chart that ``--svg`` writes for one call
 # below: "metrics" and "valuemap" captured at commit 79e4f0a, the rest at
-# ecfec1e.  The economy without a reverse_flow sector pins a skipped segment
-# besides waste.
+# ecfec1e, and "valuemap_depletion" once a skipped segment stopped moving the
+# next one left (8e2c2c9 drew its legacy segment over the dissipative one).
+# The economy without a reverse_flow sector pins a skipped segment besides
+# waste; the depletion economy pins a negative stock share, also skipped.
 NO_REVERSE_FLOW = str(Path(__file__).resolve().parent / "data" / "no_reverse_flow.economy")
+DEPLETION = str(Path(__file__).resolve().parent / "data" / "depletion.economy")
 SVG_CALLS = {"metrics": ["metrics", ACCOUNT], "valuemap": ["valuemap", ACCOUNT, ECONOMY]}
 for _name, _argv in tuple(SVG_CALLS.items()):
     SVG_CALLS.update(
@@ -45,6 +48,7 @@ for _name, _argv in tuple(SVG_CALLS.items()):
         }
     )
 SVG_CALLS["valuemap_no_reverse_flow"] = ["valuemap", ACCOUNT, NO_REVERSE_FLOW]
+SVG_CALLS["valuemap_depletion"] = ["valuemap", ACCOUNT, DEPLETION]
 
 
 def test_every_golden_file_has_a_call():

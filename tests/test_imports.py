@@ -57,7 +57,11 @@ def test_cli_import_loads_no_heavy_stdlib():
     assert heavy == []
 
 
-def test_validate_loads_no_metric_valuemap_or_scenario_code():
+def test_cli_import_loads_no_render_code():
+    assert "circuflow.render" not in _loaded_after("import circuflow.cli")
+
+
+def test_validate_loads_no_render_metric_valuemap_or_scenario_code():
     loaded = _loaded_after(
         "import contextlib, io\n"
         "from circuflow import cli\n"
@@ -65,26 +69,29 @@ def test_validate_loads_no_metric_valuemap_or_scenario_code():
         f"    assert cli.main(['validate', {str(ACCOUNT_PATH)!r}]) == 0"
     )
     assert "circuflow.accounts" in loaded
-    assert not loaded & {"circuflow.metrics", "circuflow.scenarios", "circuflow.valuemap"}
+    assert not loaded & {
+        "circuflow.render",
+        "circuflow.metrics",
+        "circuflow.scenarios",
+        "circuflow.valuemap",
+    }
 
 
 @pytest.mark.parametrize(
-    ("argv", "runs", "skips"),
-    [
-        (["metrics", str(ACCOUNT_PATH)], "metrics", {"valuemap", "scenarios"}),
-        (["valuemap", str(ACCOUNT_PATH), str(ECONOMY_PATH)], "valuemap", {"metrics", "scenarios"}),
-    ],
+    "argv",
+    [["metrics", str(ACCOUNT_PATH)], ["valuemap", str(ACCOUNT_PATH), str(ECONOMY_PATH)]],
     ids=["metrics", "valuemap"],
 )
-def test_a_report_subcommand_loads_only_the_computation_it_runs(argv, runs, skips):
+def test_metrics_and_valuemap_load_render_and_no_scenario_code(argv):
+    # render reads the tables of both metrics and valuemap, so each loads both
     loaded = _loaded_after(
         "import contextlib, io\n"
         "from circuflow import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0"
     )
-    assert f"circuflow.{runs}" in loaded
-    assert sorted(loaded & {f"circuflow.{name}" for name in skips}) == []
+    assert {"circuflow.render", "circuflow.metrics", "circuflow.valuemap"} <= loaded
+    assert "circuflow.scenarios" not in loaded
 
 
 def test_the_validation_report_loads_no_render_metric_valuemap_or_scenario_code():

@@ -1,5 +1,6 @@
 """Unit tests for rounding, formatting and report rendering."""
 
+import contextlib
 import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
@@ -8,6 +9,7 @@ import pytest
 
 from circuflow import attribute_value, metric_suite, validate
 from circuflow.accounts import MAX_PLACES, format_percent, render_validation, round_half_away
+from circuflow.errors import StockDepletionWarning
 from circuflow.render import (
     RenderSpec,
     format_money,
@@ -16,7 +18,7 @@ from circuflow.render import (
     svg_metrics,
     svg_valuemap,
 )
-from support import reference_account
+from support import reference_account, reference_economy
 
 
 def _element_ids(svg_text: str) -> set[str]:
@@ -229,3 +231,17 @@ class TestSvg:
         } <= ids
         for expected in ("1.4%", "17.4%", "13.0%", "68.2%"):
             assert expected in svg
+
+    @pytest.mark.parametrize("gfcf_rate", [0.26, 0.13, 0.10, 0.0])
+    def test_valuemap_segments_do_not_overlap(self, gfcf_rate):
+        # Below cfc_rate = 0.13 the stock share is negative and its segment is not drawn.
+        with pytest.warns(StockDepletionWarning) if gfcf_rate < 0.13 else contextlib.nullcontext():
+            attribution = attribute_value(reference_economy(gfcf_rate=gfcf_rate))
+        segments = [
+            (float(rect.get("x")), float(rect.get("width")))
+            for rect in ET.fromstring(svg_valuemap(attribution)).iter()
+            if rect.get("id", "").startswith("segment-")
+        ]
+        assert len(segments) == 3 + (gfcf_rate > 0.13)
+        for (x, width), (next_x, _) in zip(segments, segments[1:]):
+            assert next_x >= x + width - 0.01  # each edge is printed to two places
