@@ -144,30 +144,20 @@ class ValidationStatus(Enum):
 
 
 class CheckResult(Record):
-    """One invariant's verdict: ``invariant`` is a stable code, message is for humans."""
+    """One invariant's verdict: ``invariant: str`` is a stable code, ``passed: bool``,
+    and ``message: str`` is for humans.
+    """
 
     __slots__ = ("invariant", "passed", "message")
 
-    def __init__(self, invariant: str, passed: bool, message: str) -> None:
-        set_field(self, "invariant", invariant)
-        set_field(self, "passed", passed)
-        set_field(self, "message", message)
-
 
 class ValidationOutcome(Record):
-    __slots__ = ("status", "residual", "residual_share", "checks")
+    """``validate``'s verdict: ``status: ValidationStatus``, ``residual: float`` (Gt),
+    ``residual_share: float`` (of total input, NaN when that is not positive) and
+    ``checks: tuple[CheckResult, ...]``.
+    """
 
-    def __init__(
-        self,
-        status: ValidationStatus,
-        residual: float,
-        residual_share: float,
-        checks: tuple[CheckResult, ...],
-    ) -> None:
-        set_field(self, "status", status)
-        set_field(self, "residual", residual)
-        set_field(self, "residual_share", residual_share)
-        set_field(self, "checks", checks)
+    __slots__ = ("status", "residual", "residual_share", "checks")
 
     @property
     def ok(self) -> bool:
@@ -384,12 +374,7 @@ def validate(account: MaterialFlowAccount) -> ValidationOutcome:
         status = ValidationStatus.PASS
     else:
         status = ValidationStatus.PASS_WITH_WARNING
-    return ValidationOutcome(
-        status=status,
-        residual=residual,
-        residual_share=residual_share,
-        checks=tuple(checks),
-    )
+    return ValidationOutcome(status, residual, residual_share, tuple(checks))
 
 
 def render_validation(outcome: ValidationOutcome) -> str:

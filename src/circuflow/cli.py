@@ -125,9 +125,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     spec, account = _prepare(args)
     report = metric_suite(account)
-    sys.stdout.write(render_metrics(report, spec))
+    text = render_metrics(report, spec)
     if args.svg:
         _write_svg(args.svg, svg_metrics(report, spec))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -137,11 +138,12 @@ def _cmd_valuemap(args: argparse.Namespace) -> int:
 
     spec, account, economy = _prepare(args)
     attribution = attribute_value(economy)
-    sys.stdout.write(
-        render_valuemap(attribution, spec, account=account, services_share=economy.services_share)
+    text = render_valuemap(
+        attribution, spec, account=account, services_share=economy.services_share
     )
     if args.svg:
         _write_svg(args.svg, svg_valuemap(attribution, spec))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .accounts import MaterialFlowAccount, _significant
 from .errors import MetricDomainError, UndefinedDenominatorError
-from .record import Record, float_dust, set_field
+from .record import Record, float_dust
 
 #: (report field, label, account fields: the first minus the rest), in report order.
 DENOMINATORS = (
@@ -72,23 +72,12 @@ def _masses(account: MaterialFlowAccount) -> dict[str, float]:
 
 
 class CircularityReport(Record):
-    """The metric family plus the three mass denominators it used (Gt)."""
+    """The metric family plus the three mass denominators it used (Gt).
+
+    Its fields are ``float``: the ``RATES`` keys, then the ``DENOMINATORS`` keys.
+    """
 
     __slots__ = tuple(row[0] for row in RATES + DENOMINATORS)
-
-    def __init__(
-        self,
-        apparent: float,
-        dissipative_adjusted: float,
-        real_rate: float,
-        potential_ceiling: float,
-        denominator_total: float,
-        denominator_recoverable: float,
-        denominator_annually_recoverable: float,
-    ) -> None:
-        fields = locals()
-        for name in self.__slots__:
-            set_field(self, name, fields[name])
 
     def rates(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in _RATE_ROWS}

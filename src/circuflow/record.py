@@ -1,7 +1,8 @@
 """Immutable value records: the behaviour every record type shares, and the field rules.
 
-A record class lists its fields in ``__slots__`` and stores each one from its
-own ``__init__`` with ``set_field``, after checking it.  The methods are
+A record class lists its fields in ``__slots__``.  A record whose fields need
+no check keeps ``Record.__init__``; one that checks a field writes its own and
+stores each field with ``set_field``, after checking it.  The methods are
 written out once here, not generated per class at import time: generating
 them (and loading the code generator) costs more start-up time than a short
 CLI call spends computing.
@@ -136,6 +137,22 @@ class Record:
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        """Store each field as given: positionally in ``__slots__`` order, or by name."""
+        slots = self.__slots__
+        if kwargs or len(args) != len(slots):
+            values = dict(zip(slots, args))
+            repeated = values.keys() & kwargs.keys()
+            values.update(kwargs)
+            if repeated or len(args) > len(slots) or values.keys() != set(slots):
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes each of the fields {slots} once, by "
+                    f"position or by name; got {len(args)} by position and {sorted(kwargs)} by name"
+                )
+            args = [values[name] for name in slots]
+        for name, value in zip(slots, args):
+            set_field(self, name, value)
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from .accounts import MAX_PLACES, _fixed, _signed, format_mass, format_percent
 from .metrics import DENOMINATORS, RATES, CircularityReport
 from .record import FORMAT_MACHINE, FORMAT_MARKDOWN, FORMAT_PLAIN, FORMATS
-from .record import Record, check_bool, check_choice, set_field
+from .record import Record, check_bool, check_choice, float_dust, set_field
 from .valuemap import CATEGORIES, ValueAttribution
 
 if TYPE_CHECKING:
@@ -373,14 +373,21 @@ _VALUEMAP_CHART = _valuemap_chart()
 
 
 def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) -> str:
-    """Stacked horizontal bar of GDP shares with a five-entry legend."""
+    """Stacked horizontal bar of GDP shares with a five-entry legend.
+
+    A depletion year's negative stock share is not drawn, so the drawn shares
+    sum to more than 1; their widths are then scaled to fill the bar exactly,
+    while the legend keeps the true shares.
+    """
     spec = spec or RenderSpec()
     numbers = _valuemap_numbers(attribution)
     cell = _cells(numbers, spec.rounding)
     head, rows, footnote = _VALUEMAP_CHART
+    drawn = sum(max(numbers[key][1], 0.0) for _, _, key, _ in rows)
+    bar_width = _BAR_WIDTH / drawn if drawn > 1.0 + float_dust(1.0) else _BAR_WIDTH
     segments, legend, x = [head], [], _BAR_LEFT
     for segment_template, legend_template, share_key, value_key in rows:
-        segment = numbers[share_key][1] * _BAR_WIDTH
+        segment = numbers[share_key][1] * bar_width
         if segment > 0:  # a depletion year's negative stock share is not drawn
             segments.append(segment_template % (x, segment))
             x += segment

@@ -26,7 +26,7 @@ from .accounts import (
     validate,
 )
 from .errors import ScenarioError
-from .metrics import _DENOMINATOR_FIELDS, _RATE_ROWS, CircularityReport, _mass, metric_suite
+from .metrics import _DENOMINATOR_FIELDS, _RATE_ROWS, _mass, metric_suite
 from .record import (
     Record,
     check_bool,
@@ -40,7 +40,6 @@ from .record import (
 from .valuemap import (
     CATEGORY_REVERSE_FLOW,
     EconomicAccount,
-    ValueAttribution,
     _check_sector_sum,
     attribute_value,
 )
@@ -120,23 +119,12 @@ class Scenario(Record):
 
 
 class ScenarioResult(Record):
-    """Transformed pair plus the reports recomputed on it."""
+    """Transformed pair plus the reports recomputed on it: ``account: MaterialFlowAccount``,
+    ``economy: EconomicAccount``, ``report: CircularityReport``, ``attribution:
+    ValueAttribution`` and ``notes: tuple[str, ...]``.
+    """
 
     __slots__ = ("account", "economy", "report", "attribution", "notes")
-
-    def __init__(
-        self,
-        account: MaterialFlowAccount,
-        economy: EconomicAccount,
-        report: CircularityReport,
-        attribution: ValueAttribution,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        set_field(self, "account", account)
-        set_field(self, "economy", economy)
-        set_field(self, "report", report)
-        set_field(self, "attribution", attribution)
-        set_field(self, "notes", notes)
 
 
 class _Bins:
@@ -323,10 +311,5 @@ def apply_scenario(
                 for sector in economy.sectors
             ),
         )
-    return ScenarioResult(
-        account=current,
-        economy=current_economy,
-        report=metric_suite(current),
-        attribution=attribute_value(current_economy),
-        notes=tuple(notes),
-    )
+    report, attribution = metric_suite(current), attribute_value(current_economy)
+    return ScenarioResult(current, current_economy, report, attribution, tuple(notes))

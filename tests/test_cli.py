@@ -473,6 +473,18 @@ def test_machine_keys_are_unique(argv, capsys):
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize(
+    "argv", [["metrics", ACCOUNT], ["valuemap", ACCOUNT, ECONOMY]], ids=["metrics", "valuemap"]
+)
+def test_a_failed_chart_write_prints_no_report(argv, tmp_path, capsys):
+    # the report reaches stdout only once its chart is written
+    chart = tmp_path / "missing" / "chart.svg"
+    assert main([*argv, "--svg", str(chart)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {chart}: No such file or directory\n"
+
+
 def _console_script_target() -> tuple[str, str]:
     """The ``(module, function)`` that ``[project.scripts]`` installs as ``circuflow``.
 

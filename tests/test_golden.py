@@ -33,7 +33,8 @@ for _name, _path in (("full_recovery", FULL_RECOVERY_PATH), ("waste_diversion", 
 # ``tests/golden/<name>.svg`` is the chart that ``--svg`` writes for one call
 # below: "metrics" and "valuemap" captured at commit 79e4f0a, the rest at
 # ecfec1e, and "valuemap_depletion" once a skipped segment stopped moving the
-# next one left (8e2c2c9 drew its legacy segment over the dissipative one).
+# next one left (8e2c2c9 drew its legacy segment over the dissipative one), then
+# again once the drawn widths were scaled to end at the bar's right edge.
 # The economy without a reverse_flow sector pins a skipped segment besides
 # waste; the depletion economy pins a negative stock share, also skipped.
 NO_REVERSE_FLOW = str(Path(__file__).resolve().parent / "data" / "no_reverse_flow.economy")

@@ -1,7 +1,5 @@
 """Unit tests for the circularity metric family."""
 
-import inspect
-
 import pytest
 
 from circuflow import (
@@ -196,7 +194,7 @@ class TestFormulaTables:
         keys = tuple(row[0] for row in RATES) + tuple(row[0] for row in DENOMINATORS)
         assert keys == CircularityReport.__slots__
         # metric_suite builds the report positionally, in this order
-        assert tuple(inspect.signature(CircularityReport).parameters) == keys
+        assert [getattr(CircularityReport(*range(7)), key) for key in keys] == list(range(7))
 
     def test_rates_divide_by_a_denominator(self):
         denominators = {row[0] for row in DENOMINATORS}

@@ -81,6 +81,40 @@ def test_repr_lists_fields_in_slot_order(record):
     assert repr(record) == f"{type(record).__name__}({fields})"
 
 
+# The records whose fields need no check store them through ``Record.__init__``.
+STORED = [record for record in RECORDS if "__init__" not in vars(type(record))]
+
+
+def test_the_unchecked_records_keep_the_storing_constructor():
+    assert [type(record).__name__ for record in STORED] == [
+        "CheckResult",
+        "ValidationOutcome",
+        "CircularityReport",
+        "ScenarioResult",
+    ]
+
+
+@pytest.mark.parametrize("record", STORED, ids=lambda r: type(r).__name__)
+def test_storing_constructor_takes_fields_by_position_or_by_name(record):
+    cls, fields = type(record), _fields(record)
+    values = tuple(fields.values())
+    stored = cls(*values)
+    assert stored == record
+    assert all(getattr(stored, name) is value for name, value in fields.items())
+    rest = {name: fields[name] for name in cls.__slots__[1:]}
+    assert cls(values[0], **rest) == record
+    bad_calls = [
+        ((*values, values[-1]), {}),  # one positional too many
+        (values[:-1], {}),  # the last field missing
+        ((), rest),  # the first field missing
+        (values, {"no_such_field": 1}),  # an unknown name
+        ((values[0],), fields),  # the first field by position and by name
+    ]
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) takes each of the fields"):
+            cls(*args, **kwargs)
+
+
 def test_repr_text():
     assert repr(SetRecoveryRate(0.5)) == "SetRecoveryRate(fraction=0.5)"
     assert repr(Scenario("s", (ScaleReverseFlowValue(),))) == (

@@ -245,3 +245,15 @@ class TestSvg:
         assert len(segments) == 3 + (gfcf_rate > 0.13)
         for (x, width), (next_x, _) in zip(segments, segments[1:]):
             assert next_x >= x + width - 0.01  # each edge is printed to two places
+
+    @pytest.mark.parametrize("gfcf_rate", [0.26, 0.13, 0.10, 0.0])
+    def test_valuemap_bar_ends_at_its_right_edge(self, gfcf_rate):
+        # The bar spans 600 px from x = 20, also when a negative stock share is left out.
+        with pytest.warns(StockDepletionWarning) if gfcf_rate < 0.13 else contextlib.nullcontext():
+            attribution = attribute_value(reference_economy(gfcf_rate=gfcf_rate))
+        last = [
+            rect
+            for rect in ET.fromstring(svg_valuemap(attribution)).iter()
+            if rect.get("id", "").startswith("segment-")
+        ][-1]
+        assert 619.99 <= float(last.get("x")) + float(last.get("width")) <= 620.01
