@@ -126,7 +126,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     spec, account = _prepare(args)
     report = metric_suite(account)
     text = render_metrics(report, spec)
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, svg_metrics(report, spec))
     sys.stdout.write(text)
     return EXIT_OK
@@ -141,7 +141,7 @@ def _cmd_valuemap(args: argparse.Namespace) -> int:
     text = render_valuemap(
         attribution, spec, account=account, services_share=economy.services_share
     )
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, svg_valuemap(attribution, spec))
     sys.stdout.write(text)
     return EXIT_OK

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from .accounts import (
     CANONICAL_MASS_UNIT,
-    DEFAULT_BALANCE_TOLERANCE,
     GT_PER_UNIT,
     MASS_FIELDS,
     MaterialFlowAccount,
@@ -39,7 +38,7 @@ if TYPE_CHECKING:
     from types import ModuleType
     from typing import Any
 
-    from .record import Record
+    from .record import Record, _R
     from .scenarios import Scenario, Transformation
     from .valuemap import EconomicAccount, SectorValue
 
@@ -48,8 +47,8 @@ if TYPE_CHECKING:
     Schema = dict[str, tuple[str, bool, Callable[[str, str], Any] | None]]
 
 # parse_economy and parse_scenario import their record modules once per
-# document, so that reading an account alone (the validate and metrics
-# subcommands) loads neither module.
+# document, so that the validate subcommand, which reads an account alone,
+# loads neither module, and metrics and valuemap load no scenario code.
 
 
 def _parse_text(text: str, key: str) -> str:
@@ -201,6 +200,14 @@ def _write(schema: Schema, record: Record, entries: Iterable[str] = (), **given:
     return "\n".join(lines) + "\n"
 
 
+def _build(cls: Callable[..., _R], values: dict[str, Any]) -> _R:
+    """``cls(**values)``: the document's keys by name; the constructor supplies each default."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+
 def parse_account(text: str, *, default_tolerance: float | None = None) -> MaterialFlowAccount:
     """Parse an account document; masses are converted to Gt on load.
 
@@ -208,18 +215,12 @@ def parse_account(text: str, *, default_tolerance: float | None = None) -> Mater
     ``balance_tolerance`` key (``None`` means the library default).
     """
     values = _read(text, ACCOUNT_SCHEMA)
-    factor = GT_PER_UNIT[values.get("unit", CANONICAL_MASS_UNIT)]
+    factor = GT_PER_UNIT[values.pop("unit", CANONICAL_MASS_UNIT)]
     for name in MASS_FIELDS:
         values[name] *= factor
-    tolerance = values.get("balance_tolerance", default_tolerance)
-    try:
-        return MaterialFlowAccount(
-            values["year"],
-            *map(values.__getitem__, MASS_FIELDS),
-            DEFAULT_BALANCE_TOLERANCE if tolerance is None else tolerance,
-        )
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    if default_tolerance is not None:
+        values.setdefault("balance_tolerance", default_tolerance)
+    return _build(MaterialFlowAccount, values)
 
 
 def render_account(account: MaterialFlowAccount) -> str:
@@ -244,17 +245,8 @@ def parse_economy(text: str) -> EconomicAccount:
     from . import valuemap
 
     values = _read(text, ECONOMY_SCHEMA, partial(_parse_sector, valuemap))
-    try:
-        economy = valuemap.EconomicAccount(
-            values["year"],
-            values["gdp"],
-            values["gfcf_rate"],
-            values.get("cfc_rate", valuemap.DEFAULT_CFC_RATE),
-            values["sector"],
-            values.get("services_share"),
-        )
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    values["sectors"] = values.pop("sector")
+    economy = _build(valuemap.EconomicAccount, values)
     if "cfc_rate" not in values:
         warnings.warn(
             f"cfc_rate missing; defaulting to {economy.cfc_rate} "
@@ -294,7 +286,8 @@ def parse_scenario(text: str) -> Scenario:
     from . import scenarios
 
     values = _read(text, SCENARIO_SCHEMA, partial(_parse_step, scenarios))
-    return scenarios.Scenario(values["name"], values["step"])
+    values["steps"] = values.pop("step")
+    return _build(scenarios.Scenario, values)
 
 
 def render_scenario(scenario: Scenario) -> str:

@@ -275,11 +275,7 @@ def apply_scenario(
                 f"{_significant(expected_residual)} Gt from the documented moves",
             )
 
-    current = MaterialFlowAccount(
-        account.year,
-        *(getattr(bins, name) for name in MASS_FIELDS),
-        account.balance_tolerance,
-    )
+    current = account.replace(**{name: getattr(bins, name) for name in MASS_FIELDS})
     drift = bins.energetic_input + bins.structural_input - account.total_input - baseline_gap
     excess = bins.recycled_input - bins.structural_input + baseline_gap
     reasons = []

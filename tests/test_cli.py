@@ -485,6 +485,18 @@ def test_a_failed_chart_write_prints_no_report(argv, tmp_path, capsys):
     assert err == f"error: cannot write {chart}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["metrics", ACCOUNT], ["valuemap", ACCOUNT, ECONOMY]], ids=["metrics", "valuemap"]
+)
+def test_an_empty_chart_path_is_unwritable(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--svg", ""]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write : No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _console_script_target() -> tuple[str, str]:
     """The ``(module, function)`` that ``[project.scripts]`` installs as ``circuflow``.
 

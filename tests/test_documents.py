@@ -1,18 +1,24 @@
 """Unit tests for the flat key-value document layer."""
 
+import contextlib
+import re
 import warnings
 
 import pytest
 
 from circuflow import (
+    DEFAULT_BALANCE_TOLERANCE,
+    DEFAULT_CFC_RATE,
     DivertWasteToStock,
     DocumentError,
+    EconomicAccount,
+    MaterialFlowAccount,
     ProvenanceWarning,
     ScaleReverseFlowValue,
     Scenario,
     SetRecoveryRate,
 )
-from circuflow.accounts import MASS_FIELDS
+from circuflow.accounts import CANONICAL_MASS_UNIT, MASS_FIELDS
 from circuflow.documents import (
     ACCOUNT_SCHEMA,
     ECONOMY_SCHEMA,
@@ -256,6 +262,52 @@ def test_docs_tables_match_the_schemas():
         [(key, kind, "yes" if required else "no") for key, (kind, required, _) in schema.items()]
         for schema in (ACCOUNT_SCHEMA, ECONOMY_SCHEMA, SCENARIO_SCHEMA)
     ]
+
+
+def test_docs_notes_state_the_defaults_the_code_uses():
+    notes = {}
+    for line in (REPO_ROOT / "docs" / "file-formats.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            notes.setdefault(cells[0].strip("`"), []).append(cells[3])
+
+    def stated(key, pattern):
+        (note,) = notes[key]  # each key below has one row across the tables
+        (figure,) = re.findall(pattern, note)
+        return figure
+
+    assert stated("unit", r"\(default `(\w+)`\)") == CANONICAL_MASS_UNIT
+    assert float(stated("balance_tolerance", r"\(default ([0-9.]+);")) == DEFAULT_BALANCE_TOLERANCE
+    assert float(stated("cfc_rate", r"defaults to ([0-9.]+) ")) == DEFAULT_CFC_RATE
+
+
+@pytest.mark.parametrize(
+    "record,key,field",
+    [
+        (reference_account(balance_tolerance=0.1), "balance_tolerance", "balance_tolerance"),
+        (reference_economy(cfc_rate=0.2), "cfc_rate", "cfc_rate"),
+        (reference_economy(), "services_share", "services_share"),
+        (reference_economy(), "sector", "sectors"),
+        (parse_scenario(FULL_RECOVERY_PATH.read_text()), "step", "steps"),
+    ],
+    ids=["balance_tolerance", "cfc_rate", "services_share", "sector", "step"],
+)
+def test_an_omitted_optional_key_takes_the_constructor_default(record, key, field):
+    render, parse, options = {
+        MaterialFlowAccount: (render_account, parse_account, {"default_tolerance": None}),
+        EconomicAccount: (render_economy, parse_economy, {}),
+        Scenario: (render_scenario, parse_scenario, {}),
+    }[type(record)]
+    lines = render(record).splitlines()
+    kept = [line for line in lines if not line.startswith(f"{key} = ")]
+    assert len(kept) < len(lines)
+    expected = type(record)(
+        **{name: getattr(record, name) for name in type(record).__slots__ if name != field}
+    )
+    assert expected != record
+    warns = pytest.warns(ProvenanceWarning) if key == "cfc_rate" else contextlib.nullcontext()
+    with warns:
+        assert parse("\n".join(kept) + "\n", **options) == expected
 
 
 def test_several_faults_report_the_first_in_the_documented_order():
