@@ -172,6 +172,7 @@ class ValidationOutcome(Record):
 # (5e-324 is the smallest), so more places only ever return the value itself;
 # ``render.RenderSpec`` takes the same bound for ``--round``.
 MAX_PLACES = 400
+_FAST_BOUNDS = tuple(10.0 ** (14 - places) for places in range(14))
 
 
 def _repr_decimal(value: float) -> tuple[str, str]:
@@ -207,10 +208,17 @@ def _fixed(value: float, places: int) -> str:
     rounding the binary value, is the answer: the repr and the value lie on
     the same side of every rounding midpoint, since a midpoint strictly between
     them would round-trip, be no longer than the repr and lie nearer the value,
-    so it would be the repr.  A 5, and any value outside the bound, take the digit rule.
+    so it would be the repr.  A last digit under 5 needs no second format: the
+    value is within half a last-place unit of that text, so strictly between the
+    midpoints around its cut after ``places`` decimals, and that cut is ``%f`` at
+    ``places``.  Only a digit over 5 formats again; a 5, and any value outside
+    the bound, take the digit rule.
     """
-    if places < 14 and abs(value) < 10.0 ** (14 - places):
-        if ("%.*f" % (places + 1, value))[-1] != "5":
+    if places < 14 and abs(value) < _FAST_BOUNDS[places]:
+        text = "%.*f" % (places + 1, value)
+        if text[-1] < "5":
+            return text[: -2 if places == 0 else -1]  # at no places, the point goes too
+        if text[-1] != "5":
             return "%.*f" % (places, value)
     return _fixed_digits(value, places)
 

@@ -67,10 +67,10 @@ def _load(parse: Callable[..., object], path: str, **options: Callable[[], objec
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _CliFailure(EXIT_IO, f"cannot read {path!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise _CliFailure(
-            EXIT_IO, f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            EXIT_IO, f"cannot read {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
     try:
         return parse(text, **{name: get() for name, get in options.items()})
@@ -106,7 +106,7 @@ def _write_svg(path: str, content: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
     except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _CliFailure(EXIT_IO, f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

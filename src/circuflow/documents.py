@@ -211,9 +211,11 @@ def _build(cls: Callable[..., _R], values: dict[str, Any]) -> _R:
 def parse_account(text: str, *, default_tolerance: float | None = None) -> MaterialFlowAccount:
     """Parse an account document; masses are converted to Gt on load.
 
-    ``default_tolerance`` applies only when the document carries no
-    ``balance_tolerance`` key (``None`` means the library default).
+    ``default_tolerance`` (``None``: the library default; checked before the text)
+    applies only when the document carries no ``balance_tolerance`` key.
     """
+    if default_tolerance is not None:
+        check_fraction(default_tolerance, "default_tolerance")
     values = _read(text, ACCOUNT_SCHEMA)
     factor = GT_PER_UNIT[values.pop("unit", CANONICAL_MASS_UNIT)]
     for name in MASS_FIELDS:

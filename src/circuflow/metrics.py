@@ -83,10 +83,9 @@ class CircularityReport(Record):
         return {key: getattr(self, key) for key in _RATE_ROWS}
 
 
-def _rate(account: MaterialFlowAccount, key: str, masses: dict[str, float] | None = None) -> float:
-    """One ``RATES`` quotient; only its own denominator is checked, never the numerator."""
-    _, _, context, numerator, denominator = _RATE_ROWS[key]
-    masses = masses or _masses(account)
+def _rate(account: MaterialFlowAccount, masses: dict[str, float], row: tuple) -> float:
+    """One ``RATES`` row's quotient; only its own denominator is checked, never the numerator."""
+    _, _, context, numerator, denominator = row
     if masses[denominator] <= 0:
         raise UndefinedDenominatorError(_DENOMINATOR_TEXT[denominator], context)
     top = masses[numerator] if numerator in masses else getattr(account, numerator)
@@ -95,12 +94,12 @@ def _rate(account: MaterialFlowAccount, key: str, masses: dict[str, float] | Non
 
 def apparent_circularity(account: MaterialFlowAccount) -> float:
     """Recycled share of all resource input (the headline circularity rate)."""
-    return _rate(account, "apparent")
+    return _rate(account, _masses(account), _RATE_ROWS["apparent"])
 
 
 def dissipative_adjusted_circularity(account: MaterialFlowAccount) -> float:
     """Recycled share of the non-dissipative input (total minus energetic)."""
-    return _rate(account, "dissipative_adjusted")
+    return _rate(account, _masses(account), _RATE_ROWS["dissipative_adjusted"])
 
 
 def real_circularity(account: MaterialFlowAccount) -> float:
@@ -111,7 +110,7 @@ def real_circularity(account: MaterialFlowAccount) -> float:
     reverse flow is larger than the annually recoverable pool (a state
     ``metric_suite`` refuses to report).
     """
-    return _rate(account, "real_rate")
+    return _rate(account, _masses(account), _RATE_ROWS["real_rate"])
 
 
 def potential_ceiling(account: MaterialFlowAccount) -> float:
@@ -120,7 +119,7 @@ def potential_ceiling(account: MaterialFlowAccount) -> float:
     The dissipative share of input can never come back as original
     material, so the ceiling is the non-energetic share of total input.
     """
-    return _rate(account, "potential_ceiling")
+    return _rate(account, _masses(account), _RATE_ROWS["potential_ceiling"])
 
 
 def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
@@ -132,7 +131,7 @@ def metric_suite(account: MaterialFlowAccount) -> CircularityReport:
     """
     masses = _masses(account)
     # Every quotient first: an undefined denominator outranks a domain error.
-    rates = [(row, _rate(account, row[0], masses)) for row in RATES]
+    rates = [(row, _rate(account, masses, row)) for row in RATES]
     snapped = []
     for (key, _, _, _, denominator), rate in rates:
         if 1.0 < rate <= 1.0 + float_dust(masses["denominator_total"]) / masses[denominator]:

@@ -2,17 +2,17 @@
 
 The validation report is not here: ``accounts`` lays it out beside ``validate``.
 
-Each report renderer builds its numbers once, as an ordered ``{machine key:
-(kind, value)}`` table.  Machine format prints that table as it stands, one
-``key = value`` line per entry in insertion order, with shortest-round-trip
-floats, so identical inputs give byte-identical output.  Plain and markdown
-rows and the SVG text labels take their numbers from the same table by key,
-each formatted once per report by one ``kind -> formatter`` table, so a
-human format cannot show a number the machine format lacks.  Only the
-scenario delta column and the valuemap mass column are not keys.
-Labels, rate denominators and GDP categories come from ``metrics.RATES``,
-``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``; ``cli`` loads this
-module only for the report subcommands, so ``validate`` loads none of the three.
+Each report has one projection, built at import from ``metrics.RATES``,
+``metrics.DENOMINATORS`` and ``valuemap.CATEGORIES``: ``(machine key, kind,
+position)`` rows in machine order, with a ``key = %r`` template.  A call reads
+its records once, into one flat tuple of numbers (a GDP share is its value
+over GDP), and machine format fills the template straight from it, with
+shortest-round-trip floats, so identical inputs give byte-identical output.
+Plain and markdown rows and the SVG text labels take their numbers from the
+same rows by key, each formatted once per report by one ``kind -> formatter``
+table, so a human format cannot show a number the machine format lacks.  Only
+the scenario delta column and the valuemap mass column are not keys.  ``cli``
+loads this module only for the report subcommands, so ``validate`` loads none of the three tables.
 
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
@@ -26,6 +26,7 @@ template per bar, segment or legend row, so a call formats only its numbers.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .accounts import MAX_PLACES, _fixed, _signed, format_mass, format_percent
@@ -39,8 +40,9 @@ if TYPE_CHECKING:
 
     from .accounts import MaterialFlowAccount
 
-    # machine key -> (kind, value), in machine-output order
-    Numbers = dict[str, tuple[str, float]]
+    # (machine key, kind, position in a call's numbers), in machine-output order
+    Rows = tuple[tuple[str, str, int], ...]
+    Projection = tuple[str, Callable[[tuple[float, ...]], tuple[float, ...]], Rows]
     Table = tuple[tuple[str, ...], list[tuple[str, ...]]]
     # layout(cell) -> (title, tables, note blocks, footnote)
     Layout = Callable[[Callable[[str], str]], tuple[str, list[Table], list[str], str]]
@@ -102,9 +104,21 @@ _FORMATTERS = {
 }
 
 
-def _cells(numbers: Numbers, places: int) -> Callable[[str], str]:
+def _projection(read: list[tuple[str, str]], order: list[str] | None = None) -> Projection:
+    """``(machine template, pick, rows)`` for numbers read as ``read``'s ``(key, kind)`` pairs.
+
+    Rows and ``pick`` follow the keys' output ``order``, ``read``'s own unless given.
+    """
+    position = {key: index for index, (key, _) in enumerate(read)}
+    kind = dict(read)
+    rows = tuple((key, kind[key], position[key]) for key in order or position)
+    template = "".join(f"{key} = %r\n" for key, _, _ in rows)
+    return template, itemgetter(*(at for _, _, at in rows)), rows
+
+
+def _cells(rows: Rows, numbers: tuple[float, ...], places: int) -> Callable[[str], str]:
     """``cell(key)``: the number under ``key``, formatted by its kind, each formatted once."""
-    return {k: _FORMATTERS[kind](v, places) for k, (kind, v) in numbers.items()}.__getitem__
+    return {key: _FORMATTERS[kind](numbers[at], places) for key, kind, at in rows}.__getitem__
 
 
 def _plain_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -118,17 +132,14 @@ def _markdown_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> st
     return "\n".join(f"| {' | '.join(row)} |" for row in (headers, rule, *rows))
 
 
-def _project(spec: RenderSpec, numbers: Numbers, layout: Layout) -> str:
-    """Print ``numbers`` in machine format, or lay the report out for people.
+def _lay_out(spec: RenderSpec, rows: Rows, numbers: tuple[float, ...], layout: Layout) -> str:
+    """Lay a report out for people, its ``rows`` of ``numbers`` each formatted once.
 
-    ``layout(cell)`` is called only for the human formats.  It returns the
-    title, the ``(headers, rows)`` tables, the note blocks and a footnote
-    that prints only when the spec asks for footnotes.  Blocks are separated
-    by one blank line.
+    ``layout(cell)`` returns the title, the ``(headers, rows)`` tables, the
+    note blocks and a footnote that prints only when the spec asks for
+    footnotes.  Blocks are separated by one blank line.
     """
-    if spec.format == FORMAT_MACHINE:
-        return "".join(f"{key} = {value!r}\n" for key, (_, value) in numbers.items())
-    title, tables, notes, footnote = layout(_cells(numbers, spec.rounding))
+    title, tables, notes, footnote = layout(_cells(rows, numbers, spec.rounding))
     make_table = _markdown_table if spec.format == FORMAT_MARKDOWN else _plain_table
     blocks = [title, *(make_table(headers, rows) for headers, rows in tables), *notes]
     if spec.include_provenance_footnotes and footnote:
@@ -136,15 +147,26 @@ def _project(spec: RenderSpec, numbers: Numbers, layout: Layout) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _metric_numbers(report: CircularityReport) -> Numbers:
-    numbers = {key: ("%", rate) for key, rate in report.rates().items()}
-    numbers.update((key, ("Gt", getattr(report, key))) for key, _, _ in DENOMINATORS)
-    return numbers
+# Each report's numbers as a call reads them.  A metrics report's are its
+# fields: the rates, then the denominators.
+_REPORT_NUMBERS = attrgetter(*CircularityReport.__slots__)
+_RATE_NUMBERS = attrgetter(*(key for key, *_ in RATES))
+_CATEGORY_VALUES = attrgetter(*(f"{key}_value" for key, _, _ in CATEGORIES))
+_METRICS = _projection([(k, "%") for k, *_ in RATES] + [(k, "Gt") for k, *_ in DENOMINATORS])
+
+
+def _attribution_numbers(attribution: ValueAttribution, *first: float) -> tuple[float, ...]:
+    """``first``, the five ``CATEGORIES`` values, then each over GDP as ``shares_by_category``."""
+    values, gdp = _CATEGORY_VALUES(attribution), attribution.gdp
+    return (*first, *values, *[value / gdp for value in values])
 
 
 def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> str:
     """Render the metric family in the requested format."""
     spec = spec or RenderSpec()
+    numbers = _REPORT_NUMBERS(report)
+    if spec.format == FORMAT_MACHINE:
+        return _METRICS[0] % _METRICS[1](numbers)
 
     def layout(cell):
         rows = [(label, cell(key), cell(denominator)) for key, label, _, _, denominator in RATES]
@@ -155,20 +177,14 @@ def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) ->
         )
         return "circularity metrics", [(("metric", "rate", "denominator"), rows)], [], footnote
 
-    return _project(spec, _metric_numbers(report), layout)
+    return _lay_out(spec, _METRICS[2], numbers, layout)
 
 
-def _valuemap_numbers(
-    attribution: ValueAttribution, services_share: float | None = None
-) -> Numbers:
-    numbers = {"gdp": ("$", attribution.gdp)}
-    for category, value in attribution.values_by_category().items():
-        numbers[f"{category}_value"] = ("$", value)
-    for category, share in attribution.shares_by_category().items():
-        numbers[f"{category}_share"] = ("%", share)
-    if services_share is not None:
-        numbers["services_share"] = ("%", services_share)
-    return numbers
+# GDP, the attribution's numbers, and the services share, which prints only when given.
+_VALUEMAP_READ = [("gdp", "$"), *((f"{key}_value", "$") for key, _, _ in CATEGORIES)]
+_VALUEMAP_READ += [*((f"{key}_share", "%") for key, _, _ in CATEGORIES), ("services_share", "%")]
+_VALUEMAP, _VALUEMAP_SERVICES = _projection(_VALUEMAP_READ[:-1]), _projection(_VALUEMAP_READ)
+_VALUEMAP_AT = {key: at for key, _, at in _VALUEMAP[2]}
 
 
 def render_valuemap(
@@ -180,6 +196,10 @@ def render_valuemap(
 ) -> str:
     """Render the five-way GDP attribution; mass column shown when an account is given."""
     spec = spec or RenderSpec()
+    numbers = _attribution_numbers(attribution, attribution.gdp) + (services_share,)
+    projection = _VALUEMAP if services_share is None else _VALUEMAP_SERVICES
+    if spec.format == FORMAT_MACHINE:
+        return projection[0] % projection[1](numbers)
 
     def layout(cell):
         rows = []
@@ -200,7 +220,7 @@ def render_valuemap(
         )
         return f"GDP value attribution ({cell('gdp')} GDP)", [(headers, rows)], notes, footnote
 
-    return _project(spec, _valuemap_numbers(attribution, services_share), layout)
+    return _lay_out(spec, projection[2], numbers, layout)
 
 
 # "<side>_waste_share" is the waste share of input, so the waste GDP share is "waste_gdp_share".
@@ -208,27 +228,34 @@ def _gdp_share_stem(category: str) -> str:
     return "waste_gdp_share" if category == "waste" else f"{category}_share"
 
 
-def _row(label: str, stem: str) -> tuple[str, str, str]:
-    """A scenario table row: its label, and the keys "baseline_<stem>" and "after_<stem>"."""
-    return label, f"baseline_{stem}", f"after_{stem}"
-
-
-#: (headers, rows, delta kind) of the two scenario tables.
-_SCENARIO_TABLES = (
+_SIDES = ("baseline", "after")
+#: (label, key stem, kind) of each number a comparison reads from a side, in reading order.
+_SIDE = (
+    *((label, key, "%") for key, label, *_ in RATES),
+    ("waste share of input", "waste_share", "%"),
+    *((label, f"{key}_value", "$") for key, label, _ in CATEGORIES),
+    *((f"{label} share of GDP", _gdp_share_stem(key), "%") for key, label, _ in CATEGORIES),
+)
+_SCENARIO = _projection(
+    [(f"{side}_{stem}", kind) for side in _SIDES for _, stem, kind in _SIDE],
+    # Rates interleave the two sides; GDP shares and values are grouped by side.
+    [
+        *(f"{side}_{key}" for key, *_ in RATES for side in _SIDES),
+        *(f"{side}_waste_share" for side in _SIDES),
+        *(f"{side}_{_gdp_share_stem(key)}" for side in _SIDES for key, _, _ in CATEGORIES),
+        *(f"{side}_{key}_value" for side in _SIDES for key, _, _ in CATEGORIES),
+    ],
+)
+_SCENARIO_AT = {key: at for key, _, at in _SCENARIO[2]}
+#: (headers, rows, delta kind) of the two scenario tables: percentages, then money.  A row
+#: is a label and its keys "baseline_<stem>" and "after_<stem>".
+_SCENARIO_TABLES = tuple(
     (
-        ("quantity", "baseline", "after", "delta"),
-        (
-            *(_row(label, key) for key, label, *_ in RATES),
-            _row("waste share of input", "waste_share"),
-            *(_row(f"{label} share of GDP", _gdp_share_stem(key)) for key, label, _ in CATEGORIES),
-        ),
-        "pp",
-    ),
-    (
-        ("value", "baseline", "after", "delta"),
-        tuple(_row(label, f"{key}_value") for key, label, _ in CATEGORIES),
-        "+$",
-    ),
+        (first, "baseline", "after", "delta"),
+        [(label, f"baseline_{stem}", f"after_{stem}") for label, stem, k in _SIDE if k == kind],
+        delta_kind,
+    )
+    for first, kind, delta_kind in (("quantity", "%", "pp"), ("value", "$", "+$"))
 )
 
 
@@ -245,23 +272,11 @@ def render_scenario_comparison(
 ) -> str:
     """Side-by-side baseline vs transformed metrics and attribution, with deltas."""
     spec = spec or RenderSpec()
-    sides = (
-        ("baseline", baseline_report.rates(), baseline_attribution),
-        ("after", result_report.rates(), result_attribution),
-    )
-    # Rates interleave the two sides; GDP shares and values are grouped by side.
-    numbers: Numbers = {}
-    for key in sides[0][1]:
-        for side, rates, _ in sides:
-            numbers[f"{side}_{key}"] = ("%", rates[key])
-    numbers["baseline_waste_share"] = ("%", baseline_waste_share)
-    numbers["after_waste_share"] = ("%", result_waste_share)
-    for side, _, attribution in sides:
-        for category, share in attribution.shares_by_category().items():
-            numbers[f"{side}_{_gdp_share_stem(category)}"] = ("%", share)
-    for side, _, attribution in sides:
-        for category, value in attribution.values_by_category().items():
-            numbers[f"{side}_{category}_value"] = ("$", value)
+    numbers = _attribution_numbers(
+        baseline_attribution, *_RATE_NUMBERS(baseline_report), baseline_waste_share
+    ) + _attribution_numbers(result_attribution, *_RATE_NUMBERS(result_report), result_waste_share)
+    if spec.format == FORMAT_MACHINE:
+        return _SCENARIO[0] % _SCENARIO[1](numbers)
 
     def layout(cell):
         tables = []
@@ -270,13 +285,13 @@ def render_scenario_comparison(
             cells = []
             for label, before, after in rows:
                 # The delta column is human-only: machine output prints both sides.
-                change = numbers[after][1] - numbers[before][1]
+                change = numbers[_SCENARIO_AT[after]] - numbers[_SCENARIO_AT[before]]
                 cells.append((label, cell(before), cell(after), delta(change, spec.rounding)))
             tables.append((headers, cells))
         blocks = ["\n".join(["notes:", *(f"  - {note}" for note in notes)])] if notes else []
         return f"scenario: {scenario_name}", tables, blocks, ""
 
-    return _project(spec, numbers, layout)
+    return _lay_out(spec, _SCENARIO[2], numbers, layout)
 
 
 def _escape(text: str) -> str:
@@ -330,7 +345,7 @@ def svg_metrics(report: CircularityReport, spec: RenderSpec | None = None) -> st
     three rates, the ceiling).
     """
     spec = spec or RenderSpec()
-    cell = _cells(_metric_numbers(report), spec.rounding)
+    cell = _cells(_METRICS[2], _REPORT_NUMBERS(report), spec.rounding)
     head, bars, ceiling, ceiling_key = _METRICS_CHART
     scale = (_PLOT_BOTTOM - _PLOT_TOP) / max(report.denominator_total, 1e-300)
     body = [head]
@@ -380,14 +395,14 @@ def svg_valuemap(attribution: ValueAttribution, spec: RenderSpec | None = None) 
     while the legend keeps the true shares.
     """
     spec = spec or RenderSpec()
-    numbers = _valuemap_numbers(attribution)
-    cell = _cells(numbers, spec.rounding)
+    numbers = _attribution_numbers(attribution, attribution.gdp)
+    cell = _cells(_VALUEMAP[2], numbers, spec.rounding)
     head, rows, footnote = _VALUEMAP_CHART
-    drawn = sum(max(numbers[key][1], 0.0) for _, _, key, _ in rows)
+    drawn = sum(max(numbers[_VALUEMAP_AT[key]], 0.0) for _, _, key, _ in rows)
     bar_width = _BAR_WIDTH / drawn if drawn > 1.0 + float_dust(1.0) else _BAR_WIDTH
     segments, legend, x = [head], [], _BAR_LEFT
     for segment_template, legend_template, share_key, value_key in rows:
-        segment = numbers[share_key][1] * bar_width
+        segment = numbers[_VALUEMAP_AT[share_key]] * bar_width
         if segment > 0:  # a depletion year's negative stock share is not drawn
             segments.append(segment_template % (x, segment))
             x += segment

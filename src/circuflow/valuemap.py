@@ -113,9 +113,10 @@ class EconomicAccount(Record):
 
 
 def _gdp_share(category: str) -> property:
-    """A read-only ``ValueAttribution`` property: one entry of ``shares_by_category``."""
+    """A read-only ``ValueAttribution`` property: the category's value over GDP."""
+    field = f"{category}_value"
     return property(
-        lambda self: self.shares_by_category()[category],
+        lambda self: getattr(self, field) / self.gdp,
         doc=f"The {category} value as a fraction of GDP (read-only, derived).",
     )
 
@@ -125,8 +126,8 @@ class ValueAttribution(Record):
 
     Stored (``__slots__``): ``gdp`` and the four values that vary.  Derived
     (read-only properties): ``waste_value``, identically zero, and the five
-    ``*_share`` names, each its value over ``gdp`` as given by
-    ``shares_by_category``, the one place that divides by GDP.  The five
+    ``*_share`` names, each its value over ``gdp``: the same quotient
+    ``shares_by_category`` gives for its category.  The five
     values sum to gdp by construction (legacy is the residual).  Every value
     is finite; ``gdp`` is positive, and only ``stock_addition_value`` may be
     negative (net stock depletion).
@@ -152,11 +153,12 @@ class ValueAttribution(Record):
         if gdp <= 0:
             raise ValueError(f"gdp must be positive; every GDP share divides by it, got {gdp!r}")
         set_field(self, "gdp", gdp)
-        for name, value in zip(
-            self.__slots__[1:],
-            (reverse_flow_value, dissipative_flow_value, stock_addition_value, legacy_stock_value),
-        ):
-            set_field(self, name, check_money(value, name, signed=name == "stock_addition_value"))
+        set_field(self, "reverse_flow_value", check_money(reverse_flow_value, "reverse_flow_value"))
+        dissipative = check_money(dissipative_flow_value, "dissipative_flow_value")
+        set_field(self, "dissipative_flow_value", dissipative)
+        stock = check_money(stock_addition_value, "stock_addition_value", signed=True)
+        set_field(self, "stock_addition_value", stock)
+        set_field(self, "legacy_stock_value", check_money(legacy_stock_value, "legacy_stock_value"))
 
     waste_value = property(lambda self: 0.0, doc="Unmanaged waste adds no value by definition.")
 
@@ -224,10 +226,4 @@ def attribute_value(economy: EconomicAccount) -> ValueAttribution:
     legacy = gdp - attributed
     if legacy < 0:
         legacy = 0.0  # float dust from the exact-sum edge case
-    return ValueAttribution(
-        gdp=gdp,
-        reverse_flow_value=reverse,
-        dissipative_flow_value=dissipative,
-        stock_addition_value=stock,
-        legacy_stock_value=legacy,
-    )
+    return ValueAttribution(gdp, reverse, dissipative, stock, legacy)

@@ -424,7 +424,7 @@ class TestFaultOrder:
         missing = str(tmp_path / "missing.economy")
         assert main(["valuemap", self._failing_account(tmp_path), missing]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read {missing}") and "validation" not in err
+        assert err.startswith(f"error: cannot read {missing!r}") and "validation" not in err
 
     def test_a_failing_account_prints_no_year_warning(self, tmp_path, capsys):
         text = ECONOMY_PATH.read_text().replace("year = 2020", "year = 2019")
@@ -482,7 +482,7 @@ def test_a_failed_chart_write_prints_no_report(argv, tmp_path, capsys):
     assert main([*argv, "--svg", str(chart)]) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: cannot write {chart}: No such file or directory\n"
+    assert err == f"error: cannot write {str(chart)!r}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(
@@ -493,7 +493,7 @@ def test_an_empty_chart_path_is_unwritable(argv, tmp_path, monkeypatch, capsys):
     assert main([*argv, "--svg", ""]) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: cannot write : No such file or directory\n"
+    assert err == "error: cannot write '': No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -106,6 +106,22 @@ class TestParseAccount:
         account = parse_account(ACCOUNT_TEXT, default_tolerance=0.02)
         assert account.balance_tolerance == 0.02
 
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (2.0, "a fraction in [0, 1], got 2.0"),
+            (True, "a real number, got True"),
+            (float("nan"), "a fraction in [0, 1], got nan"),
+            (-0.1, "a fraction in [0, 1], got -0.1"),
+        ],
+        ids=["above_one", "bool", "nan", "negative"],
+    )
+    def test_a_bad_default_tolerance_names_the_argument(self, tolerance, message):
+        # the argument is judged before the text: the sound document is not blamed
+        with pytest.raises(ValueError) as info:
+            parse_account(ACCOUNT_TEXT, default_tolerance=tolerance)
+        assert str(info.value) == f"default_tolerance must be {message}"
+
 
 class TestParseEconomy:
     def test_reference_file(self):

@@ -28,6 +28,16 @@ for _name, _path in (("full_recovery", FULL_RECOVERY_PATH), ("waste_diversion", 
             for fmt in FORMATS
         }
     )
+    # the human scenario tables at other precisions, captured at 8fcce08
+    CALLS.update(
+        {
+            f"scenario_{_name}_{fmt}_round{places}": [
+                "scenario", ACCOUNT, ECONOMY, str(_path), "--format", fmt, "--round", places
+            ]
+            for fmt in ("plain", "markdown")
+            for places in ("0", "3")
+        }
+    )
 
 
 # ``tests/golden/<name>.svg`` is the chart that ``--svg`` writes for one call

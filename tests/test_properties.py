@@ -8,6 +8,7 @@ never by calling the code under test.
 import math
 import random
 import re
+import warnings
 
 import pytest
 
@@ -625,7 +626,9 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
     takes ``places`` under 14 and magnitudes under ``10**(14 - places)``, so
     more draws sit on that bound and either side of it, at 13 and 14 places,
     and one ulp off a tie, where ``%f`` at ``places + 1`` ends in 5 although
-    the repr is longer.
+    the repr is longer.  ``%f`` at ``places + 1`` ending in 0 to 4 is cut,
+    not formatted again, so further draws end in every digit at 0 to 13
+    places, negatives and ``-0.0`` among them.
     """
     from fractions import Fraction
 
@@ -685,6 +688,16 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
             (math.nextafter(tie, side * math.inf), places),
             (side * rng.uniform(1.0, 10.0) * 10.0 ** (13 - places), rng.choice((13, 14))),
         )
+    for places in range(14):
+        draws += ((-0.0, places), (0.0, places))
+        for last in "0123456789":
+            for _ in range(N // 100):
+                # at most 15 significant digits: %f at places + 1 prints them back
+                whole = rng.randrange(10 ** rng.randint(0, 13 - places))
+                decimals = "".join(rng.choice("0123456789") for _ in range(places))
+                value = rng.choice((-1.0, 1.0)) * float(f"{whole}.{decimals}{last}")
+                assert ("%.*f" % (places + 1, value))[-1] == last, (value, places)
+                draws.append((value, places))
     for value, places in draws:
         for shown in (value, value * 100.0):
             assert _fixed(shown, places) == _fixed_digits(shown, places), (shown, places)
@@ -849,6 +862,108 @@ def test_machine_output_prints_every_value_as_a_float_repr():
             money = format_money(change, places)
             assert delta == (money if money.startswith("-") else "+" + money), text
     assert empty_categories > N // 2
+
+
+def _machine_pairs(text):
+    """A machine report parsed back: its ``(key, float value)`` pairs, in order."""
+    return [(key, float(value)) for key, value in (line.split(" = ") for line in text.splitlines())]
+
+
+def _gdp_share_pairs(prefix, attribution):
+    # in a comparison the waste GDP share is "<side>_waste_gdp_share", beside "<side>_waste_share"
+    waste = "waste_gdp" if prefix else "waste"
+    return [
+        (f"{prefix}{waste if category == 'waste' else category}_share", share)
+        for category, share in attribution.shares_by_category().items()
+    ]
+
+
+def _value_pairs(prefix, attribution):
+    values = attribution.values_by_category()
+    return [(f"{prefix}{category}_value", value) for category, value in values.items()]
+
+
+RATE_KEYS = ("apparent", "dissipative_adjusted", "real_rate", "potential_ceiling")
+DENOMINATORS = ("denominator_total", "denominator_recoverable", "denominator_annually_recoverable")
+
+
+def test_machine_output_is_the_records_numbers_key_for_key():
+    """Each machine report, parsed back, holds exactly what the records' own methods give.
+
+    The renderers read each report and attribution once, through tables built
+    at import; the oracle here reads ``rates()``, ``shares_by_category()``,
+    ``values_by_category()`` and the waste shares instead, and the two must
+    agree key for key, in order and with ``==``.  Economies include depletion
+    years, ones with no reverse flow and rescaled ones.  Every ``*_share``
+    property equals its entry of ``shares_by_category()``.
+    """
+    from circuflow.errors import StockDepletionWarning
+    from circuflow.render import (
+        RenderSpec,
+        render_metrics,
+        render_scenario_comparison,
+        render_valuemap,
+    )
+    from support import scale_economy
+
+    rng = random.Random(126)
+    spec = RenderSpec(format="machine")
+    for index in range(N):
+        account = random_valid_account(rng)
+        economy = random_economy(rng)
+        kind = ("plain", "depletion", "no_reverse_flow", "scaled")[index % 4]
+        if kind == "depletion":
+            economy = economy.replace(gfcf_rate=economy.cfc_rate, cfc_rate=economy.gfcf_rate)
+        elif kind == "no_reverse_flow":
+            sectors = tuple(s for s in economy.sectors if s.category != "reverse_flow")
+            economy = economy.replace(sectors=sectors)
+        elif kind == "scaled":
+            economy = scale_economy(economy, 10.0 ** rng.uniform(-6.0, 6.0))
+        if rng.random() < 0.5:
+            economy = economy.replace(services_share=rng.random())
+        scenario = Scenario("step", (SetRecoveryRate(rng.random()),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StockDepletionWarning)
+            attribution = attribute_value(economy)
+            result = apply_scenario(account, economy, scenario)
+        report = metric_suite(account)
+        if kind == "depletion":
+            assert attribution.stock_addition_share < 0.0, economy
+        elif kind == "no_reverse_flow":
+            assert attribution.reverse_flow_share == 0.0, economy
+
+        for record in (attribution, result.attribution):
+            shares = record.shares_by_category()
+            for category, share in shares.items():
+                assert getattr(record, f"{category}_share") == share, (record, category)
+
+        expected = [*report.rates().items(), *((key, getattr(report, key)) for key in DENOMINATORS)]
+        assert _machine_pairs(render_metrics(report, spec)) == expected
+
+        expected = [
+            ("gdp", attribution.gdp),
+            *_value_pairs("", attribution),
+            *_gdp_share_pairs("", attribution),
+        ]
+        if economy.services_share is not None:
+            expected.append(("services_share", economy.services_share))
+        text = render_valuemap(attribution, spec, services_share=economy.services_share)
+        assert _machine_pairs(text) == expected
+
+        sides = (
+            ("baseline_", report, attribution, waste_share(account)),
+            ("after_", result.report, result.attribution, waste_share(result.account)),
+        )
+        # rates interleave the two sides; GDP shares and values are grouped by side
+        expected = [
+            (f"{side}{key}", rates.rates()[key]) for key in RATE_KEYS for side, rates, _, _ in sides
+        ]
+        expected += [(f"{side}waste_share", share) for side, _, _, share in sides]
+        expected += [pair for side, _, value, _ in sides for pair in _gdp_share_pairs(side, value)]
+        expected += [pair for side, _, value, _ in sides for pair in _value_pairs(side, value)]
+        numbers = [number for side in sides for number in side[1:]]
+        text = render_scenario_comparison("step", *numbers, notes=result.notes, spec=spec)
+        assert _machine_pairs(text) == expected
 
 
 def test_adversarial_names_are_rejected_or_round_trip():
