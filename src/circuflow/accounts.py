@@ -175,52 +175,57 @@ MAX_PLACES = 400
 _FAST_BOUNDS = tuple(10.0 ** (14 - places) for places in range(14))
 
 
-def _repr_decimal(value: float) -> tuple[str, str]:
+def _repr_decimal(value: float, shift: int = 0) -> tuple[str, str]:
     """``repr(value)`` of a finite value written out in full, split at the point.
 
     2.5 -> ("2", "5"), -1.5e-05 -> ("-0", "000015") and 1e+22 -> ("1" and 22
     zeros, ""): exactly the repr's digits, whether it is in exponent form or not.
+    ``shift`` moves the point that many places right, so 2 reads a fraction as a
+    percentage: 0.575 -> ("57", "5"), and -1e+308 -> ("-1" and 310 zeros, "").
     """
     mantissa, _, exponent = repr(value).partition("e")
     whole, _, fraction = mantissa.partition(".")
-    if not exponent:
+    if not exponent and not shift:
         return whole, fraction
     sign, whole = ("-", whole[1:]) if whole[0] == "-" else ("", whole)
-    digits, point = whole + fraction, len(whole) + int(exponent)
+    digits, point = whole + fraction, len(whole) + int(exponent or 0) + shift
     if point <= 0:
         return sign + "0", "0" * -point + digits
-    return sign + digits[:point] + "0" * (point - len(digits)), digits[point:]
+    return sign + (digits[:point].ljust(point, "0").lstrip("0") or "0"), digits[point:]
 
 
-def _fixed(value: float, places: int) -> str:
-    """``value``'s ``repr`` rounded half away from zero to exactly ``places`` decimals.
+def _fixed(value: float, places: int, shift: int = 0) -> str:
+    """``value``'s ``repr``, point moved ``shift`` places right, rounded half away to ``places``.
 
     The first dropped digit alone decides a tie (2.675 at two places is "2.68"),
     and the text never shows a digit the repr lacks: 8.653846153846153 at 17
-    places is "8.65384615384615300".  -0.004 at two places is "-0.00".
+    places is "8.65384615384615300".  -0.004 at two places is "-0.00".  A
+    percentage shifts by 2, so 0.575 at no places is "58", although the float
+    product 0.575 * 100.0 is 57.49999999999999.
 
     ``_fixed_digits`` states the rule on the repr's digits; this is the same
-    rule with a fast path for ``places`` under 14 and ``|value|`` under
-    ``10**(14 - places)``.  There one ulp is under half of ``10**-(places+1)``,
-    so ``%f`` at ``places + 1`` prints a repr with at most that many decimals
-    exactly: on a tie (``places + 1`` decimals ending in 5) it ends in 5.  Any
-    other last digit puts the repr off a tie, where ``%f`` at ``places``,
-    rounding the binary value, is the answer: the repr and the value lie on
-    the same side of every rounding midpoint, since a midpoint strictly between
-    them would round-trip, be no longer than the repr and lie nearer the value,
-    so it would be the repr.  A last digit under 5 needs no second format: the
-    value is within half a last-place unit of that text, so strictly between the
-    midpoints around its cut after ``places`` decimals, and that cut is ``%f`` at
-    ``places``.  Only a digit over 5 formats again; a 5, and any value outside
-    the bound, take the digit rule.
+    rule with a fast path for ``places`` under 14 and ``|scaled|`` under
+    ``10**(14 - places)``, ``scaled`` being ``value * 10.0**shift``.  There
+    ``scaled`` lies within ``u / 3`` of the shifted repr, ``u`` being
+    ``10**-(places + 1)``: one ulp of ``scaled`` is under ``u / 4``, the
+    product adds half an ulp, and ``10**shift`` times the repr's own half-ulp
+    error is under one more (for a subnormal, a few hundred times 5e-324).
+    Hence ``%f`` at ``places + 1`` of ``scaled`` ends in 5 whenever the
+    shifted repr is a tie (``places + 1`` decimals ending in 5).  A last
+    digit under 5 puts both numbers strictly between the midpoints around
+    that text's cut after ``places`` decimals, so the cut is the answer; a
+    digit over 5 puts both strictly between the next two midpoints, so ``%f``
+    at ``places`` is.  Only a 5, and any value outside the bound, take the
+    digit rule.
     """
-    if places < 14 and abs(value) < _FAST_BOUNDS[places]:
-        text = "%.*f" % (places + 1, value)
+    scaled = value * 10.0**shift
+    if places < 14 and abs(scaled) < _FAST_BOUNDS[places]:
+        text = "%.*f" % (places + 1, scaled)
         if text[-1] < "5":
             return text[: -2 if places == 0 else -1]  # at no places, the point goes too
         if text[-1] != "5":
-            return "%.*f" % (places, value)
-    return _fixed_digits(value, places)
+            return "%.*f" % (places, scaled)
+    return _fixed_digits(value, places, shift)
 
 
 def _significant(value: float) -> str:
@@ -256,11 +261,11 @@ def _signed(text: str) -> str:
     return text if text.startswith("-") else "+" + text
 
 
-def _fixed_digits(value: float, places: int) -> str:
+def _fixed_digits(value: float, places: int, shift: int = 0) -> str:
     """``_fixed`` worked out on the repr's digits: the rule, and its fast path's reference."""
     if not math.isfinite(value):
         return repr(value)
-    whole, fraction = _repr_decimal(value)
+    whole, fraction = _repr_decimal(value, shift)
     if len(fraction) > places and fraction[places] >= "5":  # round the magnitude up
         kept = str(int(whole.lstrip("-") + fraction[:places]) + 1).rjust(places + 1, "0")
         point, sign = len(kept) - places, "-" if whole.startswith("-") else ""
@@ -283,7 +288,7 @@ def round_half_away(value: float, places: int) -> float:
 
 
 def format_percent(fraction: float, places: int) -> str:
-    return f"{_fixed(fraction * 100.0, places)}%"
+    return f"{_fixed(fraction, places, 2)}%"
 
 
 def format_mass(gigatonnes: float, places: int) -> str:
@@ -292,9 +297,8 @@ def format_mass(gigatonnes: float, places: int) -> str:
 
 def _percent(fraction: float) -> str:
     """``fraction`` as a percentage with exactly its own digits: 0.015 -> "1.5%", -0.0 -> "0%"."""
-    whole, digits = _repr_decimal(abs(fraction))
-    whole = (whole + digits[:2].ljust(2, "0")).lstrip("0") or "0"  # times 100
-    digits = digits[2:].rstrip("0")
+    whole, digits = _repr_decimal(abs(fraction), 2)
+    digits = digits.rstrip("0")
     return f"{'-' if fraction < 0 else ''}{whole}{'.' if digits else ''}{digits}%"
 
 

@@ -81,7 +81,7 @@ class RenderSpec(Record):
 
 
 def format_percent_delta(delta_fraction: float, places: int) -> str:
-    return f"{_signed(_fixed(delta_fraction * 100.0, places))} pp"
+    return f"{_signed(_fixed(delta_fraction, places, 2))} pp"
 
 
 def format_money(trillions: float, places: int) -> str:

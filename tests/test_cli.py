@@ -148,7 +148,11 @@ class TestHostileMagnitudes:
             recycled_input=0, emissions_output=1.0, waste_output=0, net_stock_additions=0,
         )
         assert main(["validate", path]) == 2
-        assert "(-inf% of total input)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # a finite share prints its repr's digits, shifted two places: never inf
+        assert f"(-1{'0' * 310}.0% of total input)" in out
+        assert f"(-1{'0' * 310}.00% of total input) exceeds" in out
+        assert "inf" not in out
 
     def test_overflowing_output_sum_is_a_parse_error(self, tmp_path, capsys):
         path = self._account(
@@ -214,6 +218,21 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         for expected in ("9%", "14%", "27%", "62%"):
             assert expected in out
+
+    def test_a_tie_rounds_the_digits_machine_format_prints(self, tmp_path, capsys):
+        # 23 / 40 is 0.575, but 0.575 * 100.0 is 57.49999999999999
+        account = tmp_path / "tie.account"
+        account.write_text(
+            "year = 2020\ntotal_input = 40\nenergetic_input = 0\nstructural_input = 40\n"
+            "recycled_input = 23\nemissions_output = 0\nwaste_output = 40\n"
+            "net_stock_additions = 0\n"
+        )
+        assert main(["metrics", str(account), "--format", "machine"]) == 0
+        assert "apparent = 0.575\n" in capsys.readouterr().out
+        assert main(["metrics", str(account), "--round", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "apparent              58%" in out
+        assert "57%" not in out
 
     def test_machine_output_is_bit_exact_across_runs(self, capsys):
         assert main(["metrics", ACCOUNT, "--format", "machine"]) == 0

@@ -1,82 +1,77 @@
 """Byte-for-byte CLI output on the shipped data.
 
-Each ``tests/golden/<name>.txt`` holds the stdout of one call below,
-captured with ``python -m circuflow`` at commit f0f6f00 (before the value
-layer stored plain floats); every call exits 0.  A diff here is a change
-in what users see and must be deliberate.
+``golden_replay.CALLS`` is the one table of golden calls, with the commits
+each golden file was captured at.  Each row runs here in process through
+``cli.main``, and ``tests/golden_replay.py`` replays the same rows through
+any ``circuflow`` command, the installed script in CI.  A diff here is a
+change in what users see and must be deliberate.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import circuflow
 from circuflow.cli import main
-from support import ACCOUNT_PATH, ECONOMY_PATH, FULL_RECOVERY_PATH, WASTE_DIVERSION_PATH
-
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-FORMATS = ("plain", "markdown", "machine")
-
-ACCOUNT, ECONOMY = str(ACCOUNT_PATH), str(ECONOMY_PATH)
-CALLS = {"validate": ["validate", ACCOUNT]}
-CALLS.update({f"metrics_{fmt}": ["metrics", ACCOUNT, "--format", fmt] for fmt in FORMATS})
-CALLS["metrics_round0"] = ["metrics", ACCOUNT, "--round", "0"]
-CALLS.update({f"valuemap_{fmt}": ["valuemap", ACCOUNT, ECONOMY, "--format", fmt] for fmt in FORMATS})
-for _name, _path in (("full_recovery", FULL_RECOVERY_PATH), ("waste_diversion", WASTE_DIVERSION_PATH)):
-    CALLS.update(
-        {
-            f"scenario_{_name}_{fmt}": ["scenario", ACCOUNT, ECONOMY, str(_path), "--format", fmt]
-            for fmt in FORMATS
-        }
-    )
-    # the human scenario tables at other precisions, captured at 8fcce08
-    CALLS.update(
-        {
-            f"scenario_{_name}_{fmt}_round{places}": [
-                "scenario", ACCOUNT, ECONOMY, str(_path), "--format", fmt, "--round", places
-            ]
-            for fmt in ("plain", "markdown")
-            for places in ("0", "3")
-        }
-    )
-
-
-# ``tests/golden/<name>.svg`` is the chart that ``--svg`` writes for one call
-# below: "metrics" and "valuemap" captured at commit 79e4f0a, the rest at
-# ecfec1e, and "valuemap_depletion" once a skipped segment stopped moving the
-# next one left (8e2c2c9 drew its legacy segment over the dissipative one), then
-# again once the drawn widths were scaled to end at the bar's right edge.
-# The economy without a reverse_flow sector pins a skipped segment besides
-# waste; the depletion economy pins a negative stock share, also skipped.
-NO_REVERSE_FLOW = str(Path(__file__).resolve().parent / "data" / "no_reverse_flow.economy")
-DEPLETION = str(Path(__file__).resolve().parent / "data" / "depletion.economy")
-SVG_CALLS = {"metrics": ["metrics", ACCOUNT], "valuemap": ["valuemap", ACCOUNT, ECONOMY]}
-for _name, _argv in tuple(SVG_CALLS.items()):
-    SVG_CALLS.update(
-        {
-            f"{_name}_round0": [*_argv, "--round", "0"],
-            f"{_name}_round3": [*_argv, "--round", "3"],
-            f"{_name}_no_footnotes": [*_argv, "--no-footnotes"],
-        }
-    )
-SVG_CALLS["valuemap_no_reverse_flow"] = ["valuemap", ACCOUNT, NO_REVERSE_FLOW]
-SVG_CALLS["valuemap_depletion"] = ["valuemap", ACCOUNT, DEPLETION]
+from golden_replay import CALLS, EMPTY, GOLDEN_DIR, REPO_ROOT, STDOUT, SVG
+from golden_replay import arguments, compare, written_chart
 
 
 def test_every_golden_file_has_a_call():
-    assert {path.stem for path in GOLDEN_DIR.glob("*.txt")} == set(CALLS)
-    assert {path.stem for path in GOLDEN_DIR.glob("*.svg")} == set(SVG_CALLS)
+    golden = {path.name for path in GOLDEN_DIR.iterdir()}
+    assert golden == {call.label for call in CALLS if call.compared != EMPTY}
+    assert len({call.label for call in CALLS}) == len(CALLS) == 34
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
-def test_output_is_byte_identical(name, monkeypatch, capsysbinary):
+@pytest.mark.parametrize("call", CALLS, ids=lambda call: call.label)
+def test_call_matches_its_row(call, monkeypatch, tmp_path, capsysbinary):
     monkeypatch.delenv("CIRCUFLOW_TOLERANCE", raising=False)
-    assert main(CALLS[name]) == 0
-    assert capsysbinary.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    exit_code = main(arguments(call))
+    out, err = capsysbinary.readouterr()
+    assert compare(call, exit_code, out, err, written_chart(tmp_path)) == []
 
 
-@pytest.mark.parametrize("name", sorted(SVG_CALLS))
-def test_svg_is_byte_identical(name, monkeypatch, tmp_path):
-    monkeypatch.delenv("CIRCUFLOW_TOLERANCE", raising=False)
-    chart = tmp_path / "chart.svg"
-    assert main(SVG_CALLS[name] + ["--svg", str(chart)]) == 0
-    assert chart.read_bytes() == (GOLDEN_DIR / f"{name}.svg").read_bytes()
+def _flipped(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+def test_compare_names_the_row_of_each_mismatch():
+    text, svg, empty = (next(c for c in CALLS if c.compared == k) for k in (STDOUT, SVG, EMPTY))
+    stdout, chart = (GOLDEN_DIR / text.label).read_bytes(), (GOLDEN_DIR / svg.label).read_bytes()
+    assert compare(text, 0, stdout, b"", None) == []
+    assert compare(text, 0, _flipped(stdout, 7), b"", None) == [
+        f"{text.label}: stdout differs from the golden file at byte 7"
+    ]
+    assert compare(text, 0, stdout[:-1], b"", None) == [
+        f"{text.label}: stdout differs from the golden file at byte {len(stdout) - 1}"
+    ]
+    assert compare(svg, 0, b"", b"", chart) == []
+    assert compare(svg, 0, b"", b"", _flipped(chart, 100)) == [
+        f"{svg.label}: chart differs from the golden file at byte 100"
+    ]
+    assert compare(svg, 0, b"", b"", None) == [f"{svg.label}: no chart written"]
+    assert compare(empty, 4, b"", b"error: cannot write\n", None) == []
+    assert compare(empty, 0, b"report\n", b"", None) == [
+        f"{empty.label}: exit code 0, expected 4 (no stderr)",
+        f"{empty.label}: stdout is not empty",
+    ]
+    assert compare(text, 3, stdout, b"Traceback\nKeyError: 'x'\n", None) == [
+        f"{text.label}: exit code 3, expected 0 (KeyError: 'x')"
+    ]
+
+
+def test_the_replay_passes_through_python_m_circuflow():
+    """The script CI runs: every row as a subprocess, a tolerance override dropped."""
+    env = dict(os.environ, CIRCUFLOW_TOLERANCE="0.001")  # would fail the shipped account
+    env["PYTHONPATH"] = str(Path(circuflow.__file__).resolve().parent.parent)
+    replay = [sys.executable, str(REPO_ROOT / "tests" / "golden_replay.py")]
+    done = subprocess.run(
+        [*replay, sys.executable, "-m", "circuflow"], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    usage = subprocess.run(replay, capture_output=True, text=True)
+    assert usage.returncode == 1 and usage.stderr.startswith("usage:")

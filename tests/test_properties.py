@@ -616,6 +616,12 @@ def test_percent_text_matches_exact_decimal_expansion():
 def test_formatted_numbers_print_exactly_the_digits_kept():
     """Every human-format number is the repr rounded half away, then padded with zeros.
 
+    A percentage is the fraction's repr with its point moved two places, not
+    the float product ``value * 100.0``: 0.575 * 100.0 is 57.49999999999999,
+    which would print 57% where the machine line reads 0.575, and -1e308 *
+    100.0 is -inf.  Short decimals land on ties at a table's 0 to 3 places,
+    and the draws must hit ties where the product misprints.
+
     Past 15 places the text shows no binary-expansion digit the repr lacks;
     where the rounded value has at most 15 significant digits it matches the
     builtin fixed-point text of the rounded float.  ``_fixed`` takes its
@@ -641,15 +647,19 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
     )
     from circuflow.render import format_money, format_percent_delta
 
-    def oracle(value, places):
+    def oracle(value, places, shift=0):
         # exact rational arithmetic on the repr, ties away from zero, sign of zero kept
-        scaled = abs(Fraction(repr(value))) * 10**places
+        scaled = abs(Fraction(repr(value))) * 10 ** (places + shift)
         digits = str(math.floor(scaled + Fraction(1, 2))).rjust(places + 1, "0")
         text = f"{digits[:-places]}.{digits[-places:]}" if places else digits
-        return text, math.copysign(1.0, value) < 0, digits.strip("0") == ""
+        return text, math.copysign(1.0, value) < 0, digits.strip("0") == "", scaled.denominator == 2
 
+    assert (format_percent(0.575, 0), format_percent(0.0045, 1)) == ("58%", "0.5%")
+    assert (format_percent_delta(0.575, 0), format_percent_delta(-0.575, 0)) == ("+58 pp", "-58 pp")
+    assert format_percent(-1e308, 1) == f"-1{'0' * 310}.0%"
     rng = random.Random(125)
     values = [0.0, -0.0, 8.653846153846153, 0.2727272727272727, 1e22, 2.0**70, 5e-324, -1.7e306]
+    values += [-1e308, 1.7e308, 0.575, 0.145, 0.285, 0.565, 0.0045]
     for _ in range(N):
         values += (
             rng.uniform(-1.0, 1.0),
@@ -662,7 +672,9 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
     draws += [(zero, places) for zero in (0.0, -0.0) for places in range(6)]
     for _ in range(N):
         side = rng.choice((-1.0, 1.0))
-        places = rng.randint(0, 6)
+        places, tie_places = rng.randint(0, 6), rng.randint(0, 3)
+        # a percentage on a tie at ``tie_places``: 3 to 6 decimals, the last a 5
+        tie = side * float(f"{rng.randrange(10 ** (tie_places + 2))}5e-{tie_places + 3}")
         whole = rng.choice((rng.randint(0, 999), rng.randint(10**13, 10**15)))
         decimals = "".join(rng.choice("0123456789") for _ in range(places))
         last = rng.choice("5555123467890")  # a tie at ``places`` when the repr keeps the 5
@@ -672,6 +684,7 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
             (-rng.random() * 0.5 * 10.0**-places, places),  # rounds to a negative zero
             (rng.uniform(-1.0, 1.0), rng.randint(0, 3)),
             (round(rng.random(), rng.randint(1, 5)), rng.randint(0, 3)),  # x100 lands on ties
+            (tie, tie_places),
         )
     for places in range(16):
         bound = 10.0 ** (14 - places)
@@ -698,22 +711,28 @@ def test_formatted_numbers_print_exactly_the_digits_kept():
                 value = rng.choice((-1.0, 1.0)) * float(f"{whole}.{decimals}{last}")
                 assert ("%.*f" % (places + 1, value))[-1] == last, (value, places)
                 draws.append((value, places))
+    ties = misprinted = 0
     for value, places in draws:
-        for shown in (value, value * 100.0):
-            assert _fixed(shown, places) == _fixed_digits(shown, places), (shown, places)
-        text, negative, zero = oracle(value, places)
+        for shift in (0, 2):  # a mass or money, and a percentage
+            fast, rule = _fixed(value, places, shift), _fixed_digits(value, places, shift)
+            assert fast == rule, (value, places, shift)
+        text, negative, zero, _ = oracle(value, places)
         sign = "-" if negative else ""
         assert format_mass(value, places) == f"{sign}{text} Gt", (value, places)
         money_sign = "-" if negative and not zero else ""
         assert format_money(value, places) == f"{money_sign}${text}T", (value, places)
-        percent, negative, _ = oracle(value * 100.0, places)
+        percent, negative, _, tie = oracle(value, places, shift=2)
         sign = "-" if negative else ""
         assert format_percent(value, places) == f"{sign}{percent}%", (value, places)
         delta = f"{sign or '+'}{percent} pp"
         assert format_percent_delta(value, places) == delta, (value, places)
+        if tie and places <= 3:
+            ties += 1
+            misprinted += _fixed(value * 100.0, places) != f"{sign}{percent}"
         if len(text.replace(".", "").lstrip("0")) <= 15:
             builtin = f"{round_half_away(value, places):.{places}f} Gt"
             assert format_mass(value, places) == builtin, (value, places)
+    assert ties >= 1000 and misprinted >= 50, (ties, misprinted)
 
 
 def _machine_values(text):
