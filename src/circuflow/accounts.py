@@ -172,7 +172,6 @@ class ValidationOutcome(Record):
 # (5e-324 is the smallest), so more places only ever return the value itself;
 # ``render.RenderSpec`` takes the same bound for ``--round``.
 MAX_PLACES = 400
-_FAST_BOUNDS = tuple(10.0 ** (14 - places) for places in range(14))
 
 
 def _repr_decimal(value: float, shift: int = 0) -> tuple[str, str]:
@@ -197,46 +196,37 @@ def _repr_decimal(value: float, shift: int = 0) -> tuple[str, str]:
 def _fixed(value: float, places: int, shift: int = 0) -> str:
     """``value``'s ``repr``, point moved ``shift`` places right, rounded half away to ``places``.
 
-    The first dropped digit alone decides a tie (2.675 at two places is "2.68"),
-    and the text never shows a digit the repr lacks: 8.653846153846153 at 17
-    places is "8.65384615384615300".  -0.004 at two places is "-0.00".  A
-    percentage shifts by 2, so 0.575 at no places is "58", although the float
-    product 0.575 * 100.0 is 57.49999999999999.
+    The first dropped digit alone decides a tie (2.675 at two places is "2.68"; 0.575 shifted
+    2 is "58" at none, though 0.575 * 100.0 rounds to 57), no digit the repr lacks is shown
+    (8.653846153846153 at 17 places is "8.65384615384615300"), and -0.004 at two is "-0.00".
 
-    ``_fixed_digits`` states the rule on the repr's digits; this is the same
-    rule with a fast path for ``places`` under 14 and ``|scaled|`` under
-    ``10**(14 - places)``, ``scaled`` being ``value * 10.0**shift``.  There
-    ``scaled`` lies within ``u / 3`` of the shifted repr, ``u`` being
-    ``10**-(places + 1)``: one ulp of ``scaled`` is under ``u / 4``, the
-    product adds half an ulp, and ``10**shift`` times the repr's own half-ulp
-    error is under one more (for a subnormal, a few hundred times 5e-324).
-    Hence ``%f`` at ``places + 1`` of ``scaled`` ends in 5 whenever the
-    shifted repr is a tie (``places + 1`` decimals ending in 5).  A last
-    digit under 5 puts both numbers strictly between the midpoints around
-    that text's cut after ``places`` decimals, so the cut is the answer; a
-    digit over 5 puts both strictly between the next two midpoints, so ``%f``
-    at ``places`` is.  Only a 5, and any value outside the bound, take the
-    digit rule.
+    ``_fixed_digits`` states the rule on the repr's digits; ``%f`` of ``scaled`` gives
+    the same text off a band of ``slack`` around each midpoint of the grid.  The shifted
+    repr is within ``(factor * ulp(value) + ulp(scaled)) / 2`` of ``scaled`` (a repr is
+    within half an ulp of its value; the product is rounded once), and the computed
+    distance to the nearest midpoint errs by about two ulps of ``scaled`` at most.  Off
+    the band, both lie strictly on one side of every midpoint, so ``%f``, which rounds
+    ``scaled`` correctly, rounds the repr alike.  A grid finer than the band (places
+    past the repr's digits, 1e16 at no places) falls inside it; NaN and inf fail the test.
     """
-    scaled = value * 10.0**shift
-    if places < 14 and abs(scaled) < _FAST_BOUNDS[places]:
-        text = "%.*f" % (places + 1, scaled)
-        if text[-1] < "5":
-            return text[: -2 if places == 0 else -1]  # at no places, the point goes too
-        if text[-1] != "5":
-            return "%.*f" % (places, scaled)
+    factor = 10.0**shift
+    scaled = value * factor
+    text = "%.*f" % (places, scaled)
+    slack = 4 * math.ulp(scaled) + factor * math.ulp(value)
+    if abs(abs(scaled - float(text)) - 0.5 * 10.0**-places) > slack:
+        return text
     return _fixed_digits(value, places, shift)
 
 
 def _significant(value: float) -> str:
     """``value``'s ``repr`` rounded half away from zero to six significant digits, as ``%g``.
 
-    The repr is on a tie when it has exactly seven significant digits ending
-    in 5 (1234565000.0 is one): ``%g`` rounds the binary value, which may lie
-    below the tie, so the value first moves one step away from zero.  One ulp
-    of a normal value is far under a seventh-digit unit, so ``%.7g`` of a tie
-    ends in 5, and where it ends otherwise ``%g`` rounds the right way, by the
-    argument given in ``_fixed``.
+    The repr is on a tie when it has exactly seven significant digits ending in 5
+    (1234565000.0 is one): ``%g`` rounds the binary value, which may lie below the
+    tie, so the value first moves one step away from zero.  The decimals that read
+    back as a normal value span an ulp, far under a seventh-digit unit, so ``%.7g``
+    of a tie ends in 5.  Off a tie, that span holds the value and its repr but no
+    six-digit midpoint (one there would be the repr), so ``%g`` rounds both alike.
 
     That argument needs a normal float.  A subnormal value can lie farther
     from its short repr than half a sixth-digit unit (1e-323 is about

@@ -99,6 +99,9 @@ CALLS += [
     Call("svg_in_missing_directory", ["metrics", ACCOUNT, "--svg", "missing/chart.svg"], 4, EMPTY),
     Call("svg_empty_path", ["metrics", ACCOUNT, "--svg", ""], 4, EMPTY),
 ]
+# A divert that would leave recycled input over the recoverable pool exits 3 with no report.
+_DIVERT = PurePosixPath("tests/data/divert_after_recovery.scenario")
+CALLS.append(Call("divert_after_recovery", ["scenario", ACCOUNT, ECONOMY, _DIVERT], 3, EMPTY))
 
 
 def arguments(call: Call) -> list[str]:

@@ -152,10 +152,13 @@ def reference_steps(fields: dict, sector_values: list, categories: list, steps: 
                 return index, None, None
             mass["recycled_input"], mass["waste_output"] = recycled, waste
         elif op == "divert_waste_to_stock":
-            # f x waste moves into stock additions, which may not pass structural input
+            # f x waste moves into stock additions, which may not pass structural input;
+            # recycled may not pass the pool left (total - energetic - stock) by over float dust
             moved = parameter * mass["waste_output"]
             stock = mass["net_stock_additions"] + moved
-            if stock > mass["structural_input"]:
+            pool = mass["total_input"] - mass["energetic_input"] - stock
+            dust = 1e-9 * max(mass["total_input"], 1.0)
+            if stock > mass["structural_input"] or mass["recycled_input"] - pool > dust:
                 return index, None, None
             mass["waste_output"] -= moved
             mass["net_stock_additions"] = stock

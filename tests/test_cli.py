@@ -372,6 +372,15 @@ class TestScenarioCommand:
         err = capsys.readouterr().err
         assert "full_recovery" in err and "step 0" in err
 
+    def test_a_divert_that_shrinks_the_pool_below_recycled_names_its_step(self, capsys):
+        scenario = str(REPO_ROOT / "tests" / "data" / "divert_after_recovery.scenario")
+        assert main(["scenario", ACCOUNT, ECONOMY, scenario]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: scenario 'divert_after_recovery', step 1: diverting 0.5 Gt would shrink the "
+            "annually recoverable pool to 32.5 Gt, below recycled_input (33 Gt)\n"
+        )
+
     def test_year_mismatch_warns(self, tmp_path, capsys):
         economy = tmp_path / "early.economy"
         economy.write_text(ECONOMY_PATH.read_text().replace("year = 2020", "year = 2019"))

@@ -23,7 +23,7 @@ from golden_replay import arguments, compare, written_chart
 def test_every_golden_file_has_a_call():
     golden = {path.name for path in GOLDEN_DIR.iterdir()}
     assert golden == {call.label for call in CALLS if call.compared != EMPTY}
-    assert len({call.label for call in CALLS}) == len(CALLS) == 34
+    assert len({call.label for call in CALLS}) == len(CALLS) == 35
 
 
 @pytest.mark.parametrize("call", CALLS, ids=lambda call: call.label)

@@ -172,6 +172,22 @@ class TestStepErrors:
             apply_scenario(account, economy, Scenario("x", (DivertWasteToStock(1.0),)))
         assert info.value.step_index == 0
 
+    def test_divert_after_full_recovery_names_its_step(self, economy):
+        # recovery makes recycled_input the whole 33 Gt pool and leaves 1 Gt of waste;
+        # diverting half of it shrinks the pool to 32.5 Gt
+        scenario = Scenario("repro", (SetRecoveryRate(1.0), DivertWasteToStock(0.5)))
+        with pytest.raises(ScenarioError) as info:
+            apply_scenario(reference_account(), economy, scenario)
+        assert info.value.step_index == 1
+        assert str(info.value) == (
+            "scenario 'repro', step 1: diverting 0.5 Gt would shrink the annually recoverable "
+            "pool to 32.5 Gt, below recycled_input (33 Gt)"
+        )
+        # a divert within float dust of the pool leaves a real rate that reports as 1
+        dust_fraction = 0.5 * float_dust(104.0)  # of the 1 Gt of waste
+        scenario = Scenario("dust", (SetRecoveryRate(1.0), DivertWasteToStock(dust_fraction)))
+        assert apply_scenario(reference_account(), economy, scenario).report.real_rate == 1.0
+
     def test_scaling_requires_baseline_reverse_flow(self, economy):
         account = reference_account(recycled_input=0.0)
         with pytest.raises(ScenarioError, match="nonzero baseline reverse flow"):
