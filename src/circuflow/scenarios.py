@@ -4,14 +4,15 @@ Transformations move mass between named bins and never create it.  Steps
 apply left to right and order matters; the result of each composition is
 reported as-is, with no feasibility claim attached.
 
-Moving ``amount`` Gt from a source bin to a sink bin changes the residual
-(total input minus the output bins) by ``amount × (source is an output bin −
-sink is an output bin)``; the engine checks that rule after every step.
+Every op, the reverse-flow value scaling included, is one move: it changes the
+scenario's state in place, writes its own note and returns the Gt it moved from
+a source bin to a sink bin (the scaling names neither and moves none).  That
+changes the residual (total input minus the output bins) by ``amount × (source
+is an output bin − sink is an output bin)``, checked after every step.
 
-The steps run on a set of bins changed in place, not on records: each step's
-new values get the checks the record constructors would give them, so a bad
-value still names its step, and the account and the scaled economy are each
-built once, after the last step.
+The state holds bins, not records: each step's new values get the checks the
+record constructors would give them, so a bad value still names its step, and
+the account and the scaled economy are each built once, after the last step.
 """
 
 from __future__ import annotations
@@ -128,13 +129,15 @@ class ScenarioResult(Record):
 
 
 class _Bins:
-    """The seven mass bins of the account a scenario is transforming, changed in place."""
+    """A scenario's state, changed in place: the seven mass bins, the baseline pair the
+    value scaling reads, the scaling factor in force (``None`` for none) and the notes."""
 
-    __slots__ = MASS_FIELDS
+    __slots__ = (*MASS_FIELDS, "account", "economy", "factor", "notes")
 
-    def __init__(self, account: MaterialFlowAccount) -> None:
+    def __init__(self, account: MaterialFlowAccount, economy: EconomicAccount) -> None:
         for name in MASS_FIELDS:
             setattr(self, name, getattr(account, name))
+        self.account, self.economy, self.factor, self.notes = account, economy, None, []
 
     mass_residual = MaterialFlowAccount.mass_residual
 
@@ -143,8 +146,8 @@ class _Bins:
 _POOL = _DENOMINATOR_FIELDS[_RATE_ROWS["real_rate"][4]]
 
 
-def _recover(bins: _Bins, fraction: float) -> float:
-    new_recycled = fraction * _mass(bins, _POOL)
+def _recover(bins: _Bins, step: SetRecoveryRate) -> float:
+    new_recycled = step.fraction * _mass(bins, _POOL)
     increase = new_recycled - bins.recycled_input
     new_waste = bins.waste_output - increase
     if new_waste < 0:
@@ -157,8 +160,8 @@ def _recover(bins: _Bins, fraction: float) -> float:
     return increase
 
 
-def _divert(bins: _Bins, fraction: float) -> float:
-    moved = fraction * bins.waste_output
+def _divert(bins: _Bins, step: DivertWasteToStock) -> float:
+    moved = step.fraction * bins.waste_output
     new_stock = bins.net_stock_additions + moved
     if new_stock > bins.structural_input:
         raise ValueError(
@@ -179,16 +182,42 @@ def _divert(bins: _Bins, fraction: float) -> float:
     return moved
 
 
-def _replace_energetic(bins: _Bins, fraction: float) -> float:
-    moved = fraction * bins.energetic_input
+def _replace_energetic(bins: _Bins, step: ReplaceEnergeticWithStock) -> float:
+    moved = step.fraction * bins.energetic_input
     bins.energetic_input = check_mass(bins.energetic_input - moved, "energetic_input")
     bins.structural_input = check_mass(bins.structural_input + moved, "structural_input")
     bins.net_stock_additions = check_mass(bins.net_stock_additions + moved, "net_stock_additions")
+    if moved > 0:
+        bins.notes.append(
+            f"{_significant(moved)} Gt of energetic input rebooked as stock-building "
+            "structural input; emissions_output left unchanged (emission modeling out of scope)"
+        )
     return moved
 
 
-#: Scenario-document op name, step type, mass move, source and sink bin of each step.  A
-#: move stores its new values, checked as the account checks them, and returns the Gt moved.
+def _scale(bins: _Bins, step: ScaleReverseFlowValue) -> float:
+    if not step.enabled:
+        bins.factor = None
+        return 0.0
+    if bins.account.recycled_input <= 0:
+        raise ValueError("proportional value scaling requires a nonzero baseline reverse flow")
+    bins.factor = factor = bins.recycled_input / bins.account.recycled_input
+    # The checks SectorValue and EconomicAccount would give the scaled values.
+    _check_sector_sum(
+        check_money(sector.value * factor, "sector value")
+        if sector.category == CATEGORY_REVERSE_FLOW
+        else sector.value
+        for sector in bins.economy.sectors
+    )
+    bins.notes.append(
+        f"reverse-flow sector values scaled x{_significant(factor)}, assuming value "
+        "moves proportionally with the reverse flow (explicit assumption)"
+    )
+    return 0.0
+
+
+#: Scenario-document op name, step type, move, source and sink bin of each step.  A move
+#: stores its checked new values and its note on the state, and returns the Gt moved.
 _STEPS = (
     ("set_recovery_rate", SetRecoveryRate, _recover, "waste_output", "recycled_input"),
     ("divert_waste_to_stock", DivertWasteToStock, _divert, "waste_output", "net_stock_additions"),
@@ -199,7 +228,7 @@ _STEPS = (
         "energetic_input",
         "net_stock_additions",
     ),
-    ("scale_reverse_flow_value", ScaleReverseFlowValue, None, None, None),
+    ("scale_reverse_flow_value", ScaleReverseFlowValue, _scale, None, None),
 )
 STEP_OPS: dict[str, type[Transformation]] = {op: cls for op, cls, *_ in _STEPS}
 OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls, *_ in _STEPS}
@@ -207,7 +236,6 @@ OP_NAMES: dict[type[Transformation], str] = {cls: op for op, cls, *_ in _STEPS}
 _MOVES = {
     cls: (move, (source in MASS_FIELDS[4:]) - (sink in MASS_FIELDS[4:]))  # outputs come last
     for _, cls, move, source, sink in _STEPS
-    if move is not None
 }
 
 
@@ -233,44 +261,15 @@ def apply_scenario(
         reasons = "; ".join(v.message for v in validate(account).violations)
         raise ScenarioError(scenario.name, None, f"baseline account fails validation: {reasons}")
 
-    bins = _Bins(account)
-    factor = None  # the reverse-flow value scaling in force, if any
+    bins = _Bins(account, economy)
     expected_residual = baseline_residual
     slack = float_dust(account.total_input)  # no move changes total_input
-    notes = []
 
     for index, step in enumerate(scenario.steps):
+        move, sign = _MOVES[type(step)]
         try:
-            if type(step) in _MOVES:
-                move, sign = _MOVES[type(step)]
-                amount = move(bins, step.fraction)
-                _check_mass_sums(bins)
-                expected_residual += amount * sign
-                if type(step) is ReplaceEnergeticWithStock and amount > 0:
-                    notes.append(
-                        f"{_significant(amount)} Gt of energetic input rebooked as stock-building "
-                        "structural input; emissions_output left unchanged (emission "
-                        "modeling out of scope)"
-                    )
-            elif not step.enabled:
-                factor = None
-            elif account.recycled_input <= 0:
-                raise ValueError(
-                    "proportional value scaling requires a nonzero baseline reverse flow"
-                )
-            else:
-                factor = bins.recycled_input / account.recycled_input
-                # The checks SectorValue and EconomicAccount would give the scaled values.
-                _check_sector_sum(
-                    check_money(sector.value * factor, "sector value")
-                    if sector.category == CATEGORY_REVERSE_FLOW
-                    else sector.value
-                    for sector in economy.sectors
-                )
-                notes.append(
-                    f"reverse-flow sector values scaled x{_significant(factor)}, assuming value "
-                    "moves proportionally with the reverse flow (explicit assumption)"
-                )
+            expected_residual += move(bins, step) * sign
+            _check_mass_sums(bins)
         except ValueError as exc:
             # A precondition failed, or a record check rejected a new value.
             raise ScenarioError(scenario.name, index, str(exc)) from None
@@ -298,22 +297,22 @@ def apply_scenario(
 
     rebooked = expected_residual - baseline_residual
     if abs(rebooked) > slack:
-        notes.append(
+        bins.notes.append(
             f"scenario rebooked {_signed(_significant(rebooked))} Gt across the input/output "
             "boundary; balance judged net of that move (underlying residual "
             f"{_significant(baseline_residual)} Gt, within tolerance)"
         )
 
-    if factor is None:
+    if bins.factor is None:
         current_economy = economy
     else:
         current_economy = economy.replace(
             sectors=tuple(
-                sector.replace(value=sector.value * factor)
+                sector.replace(value=sector.value * bins.factor)
                 if sector.category == CATEGORY_REVERSE_FLOW
                 else sector
                 for sector in economy.sectors
             ),
         )
     report, attribution = metric_suite(current), attribute_value(current_economy)
-    return ScenarioResult(current, current_economy, report, attribution, tuple(notes))
+    return ScenarioResult(current, current_economy, report, attribution, tuple(bins.notes))

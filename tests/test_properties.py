@@ -364,7 +364,9 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
     About one account in five gets a lean waste bin and one in ten no
     reverse flow, so chains also break preconditions; those compare by the
     index of the step that breaks.  Most chains that break do so at a divert
-    after a full recovery, which would leave recycled input over the pool.
+    after a full recovery, which would leave recycled input over the pool; so
+    half the chains draw gentler steps, recoveries to at most half the pool and
+    diverts of at most 5% of waste, and mostly apply.
     Exact ``==`` guards each op computing its new bin values as worded, not as
     ``old +/- amount``.  The few chains whose scaled reverse-flow values then
     exceed GDP must fail the same way on the reference's economy.
@@ -379,11 +381,21 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
     from circuflow.accounts import MASS_FIELDS
 
     rng = random.Random(118)
-    step_makers = (
-        lambda r: SetRecoveryRate(r.choice((r.random(), 1.0))),
-        lambda r: DivertWasteToStock(r.random() * r.choice((0.05, 0.3))),
+    shared_makers = (
         lambda r: ReplaceEnergeticWithStock(r.random() * 0.2),
         lambda r: ScaleReverseFlowValue(r.random() < 0.7),
+    )
+    step_families = (
+        (
+            lambda r: SetRecoveryRate(r.choice((r.random(), 1.0))),
+            lambda r: DivertWasteToStock(r.random() * r.choice((0.05, 0.3))),
+            *shared_makers,
+        ),
+        (
+            lambda r: SetRecoveryRate(r.random() * 0.5),
+            lambda r: DivertWasteToStock(r.random() * 0.05),
+            *shared_makers,
+        ),
     )
 
     outcomes = {"applied": 0, "broken": 0, "over_attributed": 0}
@@ -399,6 +411,7 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
         elif roll < 0.3:
             account = account.replace(recycled_input=0.0)
         economy = random_economy(rng)
+        step_makers = rng.choice(step_families)
         steps = tuple(rng.choice(step_makers)(rng) for _ in range(rng.randint(8, 64)))
         broken_at, masses, values = reference_steps(
             {name: getattr(account, name) for name in MASS_FIELDS},
@@ -427,7 +440,7 @@ def test_step_chains_match_the_plain_dict_reference_exactly():
             assert getattr(result.account, name) == masses[name], name
         assert [sector.value for sector in result.economy.sectors] == values
         outcomes["applied"] += 1
-    assert min(outcomes["applied"], outcomes["broken"]) > N // 20, outcomes
+    assert outcomes["applied"] > N // 4 and outcomes["broken"] > N // 20, outcomes
 
 
 def _dusty_valid_account(rng: random.Random):

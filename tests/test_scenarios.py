@@ -146,8 +146,8 @@ def _skew_move(monkeypatch, cls, skew: dict, declared: float = 0.0) -> None:
     """Make every ``cls`` move add ``skew`` to the bins after it and ``declared`` to its amount."""
     move, sign = scenarios._MOVES[cls]
 
-    def skewed_move(bins, fraction):
-        amount = move(bins, fraction)
+    def skewed_move(bins, step):
+        amount = move(bins, step)
         for name, change in skew.items():
             setattr(bins, name, getattr(bins, name) + change)
         return amount + declared
@@ -506,6 +506,15 @@ class TestConservationPerStep:
         scenario = Scenario(
             "leak", (SetRecoveryRate(0.5), DivertWasteToStock(0.2), SetRecoveryRate(0.5))
         )
+        with pytest.raises(ScenarioError, match="mass not conserved") as info:
+            apply_scenario(account, economy, scenario)
+        assert info.value.step_index == 1
+        assert "step 1" in str(info.value)
+
+    def test_a_leaking_scaling_step_is_named_by_its_step(self, account, economy, monkeypatch):
+        # the scaling moves no mass, so 1 Gt gone from the waste bin after it is a leak
+        _skew_move(monkeypatch, ScaleReverseFlowValue, {"waste_output": -1.0})
+        scenario = Scenario("leak", (SetRecoveryRate(0.5), ScaleReverseFlowValue(True)))
         with pytest.raises(ScenarioError, match="mass not conserved") as info:
             apply_scenario(account, economy, scenario)
         assert info.value.step_index == 1
