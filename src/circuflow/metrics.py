@@ -9,8 +9,8 @@ input is admitted to the denominator:
     potential ceiling     (total - energetic) / total
 
 ``DENOMINATORS`` and ``RATES`` state each formula, label and error context
-once; the functions here, the renderers and the scenario recovery step read
-them.
+once; the functions here, the renderers and the scenario recovery and divert
+steps read them.
 Metrics return exact quotients; rounding to presentation percentages is
 the rendering layer's job.  Zero denominators raise named errors instead
 of collapsing to 0 or 1: a fully dissipative economy has no defined

@@ -11,8 +11,10 @@ shortest-round-trip floats, so identical inputs give byte-identical output.
 Plain and markdown rows and the SVG text labels take their numbers from the
 same rows by key, each formatted once per report by one ``kind -> formatter``
 table, so a human format cannot show a number the machine format lacks.  Only
-the scenario delta column and the valuemap mass column are not keys.  ``cli``
-loads this module only for the report subcommands, so ``validate`` loads none of the three tables.
+the scenario delta column and the valuemap mass column are not keys.  Each
+human report builds its own title, tables and notes from those cells, and
+``_lay_out`` only joins the finished blocks.  ``cli`` loads this module only
+for the report subcommands, so ``validate`` loads none of the three tables.
 
 Numbers are rounded half-away-from-zero at the configured precision, by
 the helpers ``accounts`` also uses for its own messages; upstream every
@@ -44,8 +46,6 @@ if TYPE_CHECKING:
     Rows = tuple[tuple[str, str, int], ...]
     Projection = tuple[str, Callable[[tuple[float, ...]], tuple[float, ...]], Rows]
     Table = tuple[tuple[str, ...], list[tuple[str, ...]]]
-    # layout(cell) -> (title, tables, note blocks, footnote)
-    Layout = Callable[[Callable[[str], str]], tuple[str, list[Table], list[str], str]]
 
 _SEGMENT_COLORS = ("#2a9d8f", "#e9c46a", "#f4a261", "#9d9d9d", "#264653")
 # Chart geometry in px that each call reads: the top and bottom of the metrics
@@ -132,14 +132,15 @@ def _markdown_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> st
     return "\n".join(f"| {' | '.join(row)} |" for row in (headers, rule, *rows))
 
 
-def _lay_out(spec: RenderSpec, rows: Rows, numbers: tuple[float, ...], layout: Layout) -> str:
-    """Lay a report out for people, its ``rows`` of ``numbers`` each formatted once.
+def _lay_out(
+    spec: RenderSpec, title: str, tables: list[Table], notes: list[str], footnote: str = ""
+) -> str:
+    """Join a human report's finished blocks, one blank line apart.
 
-    ``layout(cell)`` returns the title, the ``(headers, rows)`` tables, the
-    note blocks and a footnote that prints only when the spec asks for
-    footnotes.  Blocks are separated by one blank line.
+    The ``(headers, rows)`` tables of formatted cells are drawn in the spec's
+    format, plain or markdown; the title and note blocks print as given, and
+    the footnote only when the spec asks for footnotes.
     """
-    title, tables, notes, footnote = layout(_cells(rows, numbers, spec.rounding))
     make_table = _markdown_table if spec.format == FORMAT_MARKDOWN else _plain_table
     blocks = [title, *(make_table(headers, rows) for headers, rows in tables), *notes]
     if spec.include_provenance_footnotes and footnote:
@@ -167,17 +168,15 @@ def render_metrics(report: CircularityReport, spec: RenderSpec | None = None) ->
     numbers = _REPORT_NUMBERS(report)
     if spec.format == FORMAT_MACHINE:
         return _METRICS[0] % _METRICS[1](numbers)
-
-    def layout(cell):
-        rows = [(label, cell(key), cell(denominator)) for key, label, _, _, denominator in RATES]
-        footnote = (
-            f"note: rates are exact quotients rounded half-away-from-zero to "
-            f"{spec.rounding} decimal place(s); half-way values round up in "
-            "magnitude (61.5% prints as 62% at zero places, not 61%)."
-        )
-        return "circularity metrics", [(("metric", "rate", "denominator"), rows)], [], footnote
-
-    return _lay_out(spec, _METRICS[2], numbers, layout)
+    cell = _cells(_METRICS[2], numbers, spec.rounding)
+    rows = [(label, cell(key), cell(denominator)) for key, label, _, _, denominator in RATES]
+    footnote = (
+        f"note: rates are exact quotients rounded half-away-from-zero to "
+        f"{spec.rounding} decimal place(s); half-way values round up in "
+        "magnitude (61.5% prints as 62% at zero places, not 61%)."
+    )
+    tables = [(("metric", "rate", "denominator"), rows)]
+    return _lay_out(spec, "circularity metrics", tables, [], footnote)
 
 
 # GDP, the attribution's numbers, and the services share, which prints only when given.
@@ -200,27 +199,25 @@ def render_valuemap(
     projection = _VALUEMAP if services_share is None else _VALUEMAP_SERVICES
     if spec.format == FORMAT_MACHINE:
         return projection[0] % projection[1](numbers)
-
-    def layout(cell):
-        rows = []
-        for category, label, mass_field in CATEGORIES:
-            # The mass column is human-only: account masses are not report numbers.
-            mass = () if account is None else (
-                format_mass(getattr(account, mass_field), spec.rounding) if mass_field else "-",
-            )
-            rows.append((label, *mass, cell(f"{category}_value"), cell(f"{category}_share")))
-        headers = ("category", *(() if account is None else ("mass",)), "value", "share of GDP")
-        notes = []
-        if services_share is not None:
-            notes.append(f"services share of GDP (context only): {cell('services_share')}")
-        footnote = (
-            "note: the whole waste-management sector value is booked to reverse "
-            "flows; the part directly created by recovered-material flows is "
-            "likely lower, so the reverse-flow share is an upper estimate."
+    cell = _cells(projection[2], numbers, spec.rounding)
+    rows = []
+    for category, label, mass_field in CATEGORIES:
+        # The mass column is human-only: account masses are not report numbers.
+        mass = () if account is None else (
+            format_mass(getattr(account, mass_field), spec.rounding) if mass_field else "-",
         )
-        return f"GDP value attribution ({cell('gdp')} GDP)", [(headers, rows)], notes, footnote
-
-    return _lay_out(spec, projection[2], numbers, layout)
+        rows.append((label, *mass, cell(f"{category}_value"), cell(f"{category}_share")))
+    headers = ("category", *(() if account is None else ("mass",)), "value", "share of GDP")
+    notes = []
+    if services_share is not None:
+        notes.append(f"services share of GDP (context only): {cell('services_share')}")
+    footnote = (
+        "note: the whole waste-management sector value is booked to reverse "
+        "flows; the part directly created by recovered-material flows is "
+        "likely lower, so the reverse-flow share is an upper estimate."
+    )
+    title = f"GDP value attribution ({cell('gdp')} GDP)"
+    return _lay_out(spec, title, [(headers, rows)], notes, footnote)
 
 
 # "<side>_waste_share" is the waste share of input, so the waste GDP share is "waste_gdp_share".
@@ -277,21 +274,18 @@ def render_scenario_comparison(
     ) + _attribution_numbers(result_attribution, *_RATE_NUMBERS(result_report), result_waste_share)
     if spec.format == FORMAT_MACHINE:
         return _SCENARIO[0] % _SCENARIO[1](numbers)
-
-    def layout(cell):
-        tables = []
-        for headers, rows, delta_kind in _SCENARIO_TABLES:
-            delta = _FORMATTERS[delta_kind]
-            cells = []
-            for label, before, after in rows:
-                # The delta column is human-only: machine output prints both sides.
-                change = numbers[_SCENARIO_AT[after]] - numbers[_SCENARIO_AT[before]]
-                cells.append((label, cell(before), cell(after), delta(change, spec.rounding)))
-            tables.append((headers, cells))
-        blocks = ["\n".join(["notes:", *(f"  - {note}" for note in notes)])] if notes else []
-        return f"scenario: {scenario_name}", tables, blocks, ""
-
-    return _lay_out(spec, _SCENARIO[2], numbers, layout)
+    cell = _cells(_SCENARIO[2], numbers, spec.rounding)
+    tables = []
+    for headers, rows, delta_kind in _SCENARIO_TABLES:
+        delta = _FORMATTERS[delta_kind]
+        cells = []
+        for label, before, after in rows:
+            # The delta column is human-only: machine output prints both sides.
+            change = numbers[_SCENARIO_AT[after]] - numbers[_SCENARIO_AT[before]]
+            cells.append((label, cell(before), cell(after), delta(change, spec.rounding)))
+        tables.append((headers, cells))
+    blocks = ["\n".join(["notes:", *(f"  - {note}" for note in notes)])] if notes else []
+    return _lay_out(spec, f"scenario: {scenario_name}", tables, blocks)
 
 
 def _escape(text: str) -> str:

@@ -104,6 +104,7 @@ Transformation = (
     SetRecoveryRate | DivertWasteToStock | ReplaceEnergeticWithStock | ScaleReverseFlowValue
 )
 
+
 class Scenario(Record):
     """A named, ordered list of transformations."""
 
@@ -169,16 +170,16 @@ def _divert(bins: _Bins, step: DivertWasteToStock) -> float:
             f"{_significant(new_stock)} Gt, beyond structural_input "
             f"({_significant(bins.structural_input)} Gt)"
         )
+    bins.waste_output = check_mass(bins.waste_output - moved, "waste_output")
+    bins.net_stock_additions = check_mass(new_stock, "net_stock_additions")
     # Only a divert shrinks the pool, so only here can recycled_input come to exceed it.
-    pool = bins.total_input - bins.energetic_input - new_stock
+    pool = _mass(bins, _POOL)
     if bins.recycled_input - pool > float_dust(bins.total_input):
         raise ValueError(
             f"diverting {_significant(moved)} Gt would shrink the annually recoverable pool to "
             f"{_significant(pool)} Gt, below recycled_input "
             f"({_significant(bins.recycled_input)} Gt)"
         )
-    bins.waste_output = check_mass(bins.waste_output - moved, "waste_output")
-    bins.net_stock_additions = check_mass(new_stock, "net_stock_additions")
     return moved
 
 

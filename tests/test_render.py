@@ -170,6 +170,72 @@ class TestRenderValuemap:
             assert expected in text
         assert "booked to reverse flows" in text
 
+    # Library-only layouts: the CLI always passes an account, so no golden file has these.
+    _PLAIN_TABLE = (
+        "category           value   share of GDP\n"
+        "reverse flows      $1.2T   1.4%\n"
+        "dissipative flows  $15.0T  17.4%\n"
+        "stock additions    $11.2T  13.0%\n"
+        "waste              $0.0T   0.0%\n"
+        "legacy stocks      $58.6T  68.2%\n"
+    )
+    _PLAIN_MASS_TABLE = (
+        "category           mass     value   share of GDP\n"
+        "reverse flows      9.0 Gt   $1.2T   1.4%\n"
+        "dissipative flows  40.0 Gt  $15.0T  17.4%\n"
+        "stock additions    31.0 Gt  $11.2T  13.0%\n"
+        "waste              25.0 Gt  $0.0T   0.0%\n"
+        "legacy stocks      -        $58.6T  68.2%\n"
+    )
+    _MARKDOWN_TABLE = (
+        "| category | value | share of GDP |\n"
+        "| --- | --- | --- |\n"
+        "| reverse flows | $1.2T | 1.4% |\n"
+        "| dissipative flows | $15.0T | 17.4% |\n"
+        "| stock additions | $11.2T | 13.0% |\n"
+        "| waste | $0.0T | 0.0% |\n"
+        "| legacy stocks | $58.6T | 68.2% |\n"
+    )
+    _MARKDOWN_MASS_TABLE = (
+        "| category | mass | value | share of GDP |\n"
+        "| --- | --- | --- | --- |\n"
+        "| reverse flows | 9.0 Gt | $1.2T | 1.4% |\n"
+        "| dissipative flows | 40.0 Gt | $15.0T | 17.4% |\n"
+        "| stock additions | 31.0 Gt | $11.2T | 13.0% |\n"
+        "| waste | 25.0 Gt | $0.0T | 0.0% |\n"
+        "| legacy stocks | - | $58.6T | 68.2% |\n"
+    )
+    _SERVICES_NOTE = "\nservices share of GDP (context only): 65.0%\n"
+    _FOOTNOTE = (
+        "\nnote: the whole waste-management sector value is booked to reverse flows; "
+        "the part directly created by recovered-material flows is likely lower, "
+        "so the reverse-flow share is an upper estimate.\n"
+    )
+
+    @pytest.mark.parametrize("footnotes", [True, False])
+    @pytest.mark.parametrize(
+        "format, with_account, with_services, body",
+        [
+            ("plain", False, False, _PLAIN_TABLE),
+            ("plain", False, True, _PLAIN_TABLE + _SERVICES_NOTE),
+            ("plain", True, False, _PLAIN_MASS_TABLE),
+            ("markdown", False, False, _MARKDOWN_TABLE),
+            ("markdown", False, True, _MARKDOWN_TABLE + _SERVICES_NOTE),
+            ("markdown", True, False, _MARKDOWN_MASS_TABLE),
+        ],
+    )
+    def test_library_only_layouts_print_whole(
+        self, account, economy, format, with_account, with_services, body, footnotes
+    ):
+        text = render_valuemap(
+            attribute_value(economy),
+            RenderSpec(format=format, include_provenance_footnotes=footnotes),
+            account=account if with_account else None,
+            services_share=economy.services_share if with_services else None,
+        )
+        expected = "GDP value attribution ($86.0T GDP)\n\n" + body
+        assert text == expected + (self._FOOTNOTE if footnotes else "")
+
     def test_machine_contains_exact_residual(self, economy):
         text = render_valuemap(attribute_value(economy), RenderSpec(format="machine"))
         assert "legacy_stock_value = 58.620000000000005" in text
